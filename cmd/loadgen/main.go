@@ -63,8 +63,7 @@ func run(args []string, w io.Writer) error {
 		dataDir       = fs.String("data-dir", "", "enable the durable persistence plane: per-shard WALs under this directory (writes fsync before ack)")
 		fsyncCoalesce = fs.Duration("fsync-coalesce", 0, "with -data-dir: fsync-coalescing window for the pipelined sync stage (0 = sync as soon as the disk is free)")
 		preallocate   = fs.Bool("wal-preallocate", true, "with -data-dir: preallocate WAL segments to their full size at creation")
-		odsync        = fs.Bool("odsync", false, "with -data-dir: open WAL segments O_DSYNC so every write is synchronous (the coalescing window is then moot)")
-		obsAddr       = fs.String("obs-addr", "", "serve /metrics, /statusz, /tracez and /debug/pprof on this address (e.g. :9090; empty disables)")
+		obsAddr       = fs.String("obs-addr", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. :9090; empty disables)")
 		report        = fs.Duration("report", 0, "print a one-line throughput/propagation summary at this interval (0 disables)")
 		openLoop      = fs.Bool("open-loop", false, "open-loop arrivals: ops are due on a fixed schedule regardless of how the target copes, and latency is measured from the scheduled arrival (coordinated-omission corrected)")
 		arrivalRate   = fs.Float64("arrival-rate", 1000, "with -open-loop: offered load in ops/sec across all workers")
@@ -132,7 +131,6 @@ func run(args []string, w io.Writer) error {
 		rtOpts = append(rtOpts, runtime.WithDurabilityTuning(wal.Options{
 			Preallocate:    *preallocate,
 			CoalesceWindow: *fsyncCoalesce,
-			ODSync:         *odsync,
 		}))
 	}
 	router, err := core.Sharded(sys, *shards,
@@ -170,7 +168,7 @@ func run(args []string, w io.Writer) error {
 				"ops_acked_so_far": reg.Total("repro_client_writes_acked_total"),
 			}
 		})
-		fmt.Fprintf(w, "observability: http://%s/metrics (plus /statusz, /tracez, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(w, "observability: http://%s/metrics (plus /statusz, /debug/pprof)\n", srv.Addr())
 	}
 
 	cfg := workload.Config{

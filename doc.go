@@ -97,9 +97,10 @@
 //
 //   - Every mutation of the write log and store is journaled in order
 //     through the node.Journal hook. Client writes become durable before
-//     they become visible: the group-commit leader fsyncs the whole batch
-//     (ONE fsync per batch) while still holding the replica lock, before
-//     any ack and before any anti-entropy session can serve the entries.
+//     they become visible: the group-commit leader journals the whole
+//     batch under the replica lock, the WAL's background sync stage fsyncs
+//     it off the lock, and acks and entry-carrying protocol traffic are
+//     held until that sync covers them.
 //
 //   - Peer-learned entries ride the WAL buffer and sync with the next
 //     batch or the periodic maintenance tick; losing that tail in a crash

@@ -3,7 +3,7 @@
 // striping), a propagation tracer that measures origin→replica visibility
 // latency on the live cluster — the paper's headline metric, observed
 // instead of simulated — and an opt-in HTTP server exposing everything as
-// Prometheus text format plus pprof, /statusz and /tracez.
+// Prometheus text format plus pprof and /statusz.
 //
 // # Design
 //
@@ -170,11 +170,12 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// register resolves (or creates) the series for (name, labels, kind),
-// returning it and whether it was newly created. Kind mismatches across a
-// family panic: they are programming errors that would render malformed
-// exposition.
-func (r *Registry) register(name, help string, kind metricKind, labels []Label) (*series, bool) {
+// register resolves (or creates) the series for (name, labels, kind). A new
+// series gets its instrument from create while the registry lock is still
+// held: a concurrent registration of the same series must never find it
+// without one. Kind mismatches across a family panic: they are programming
+// errors that would render malformed exposition.
+func (r *Registry) register(name, help string, kind metricKind, labels []Label, create func(*series)) *series {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -189,58 +190,45 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	}
 	for _, s := range fam.series {
 		if s.labelKey == key {
-			return s, false
+			return s
 		}
 	}
 	s := &series{labels: append([]Label(nil), labels...), labelKey: key}
+	create(s)
 	fam.series = append(fam.series, s)
-	return s, true
+	return s
 }
 
 // Counter returns the counter registered under name with the given labels,
 // creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s, fresh := r.register(name, help, kindCounter, labels)
-	if fresh {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, kindCounter, labels, func(s *series) { s.counter = &Counter{} }).counter
 }
 
 // Gauge returns the gauge registered under name with the given labels,
 // creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s, fresh := r.register(name, help, kindGauge, labels)
-	if fresh {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, kindGauge, labels, func(s *series) { s.gauge = &Gauge{} }).gauge
 }
 
 // CounterFunc registers a polled counter series: fn is evaluated at scrape
 // time and must be monotone non-decreasing. Re-registering the same series
 // replaces the function (components rebuilt at runtime re-attach).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s, _ := r.register(name, help, kindCounterFunc, labels)
-	s.fn = fn
+	r.register(name, help, kindCounterFunc, labels, func(*series) {}).fn = fn
 }
 
 // GaugeFunc registers a polled gauge series: fn is evaluated at scrape
 // time. Re-registering the same series replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s, _ := r.register(name, help, kindGaugeFunc, labels)
-	s.fn = fn
+	r.register(name, help, kindGaugeFunc, labels, func(*series) {}).fn = fn
 }
 
 // Histogram returns the histogram registered under name with the given
 // labels, creating it with the bucket upper bounds on first use (bounds are
 // ignored for an existing series).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s, fresh := r.register(name, help, kindHistogram, labels)
-	if fresh {
-		s.hist = NewHistogram(bounds)
-	}
-	return s.hist
+	return r.register(name, help, kindHistogram, labels, func(s *series) { s.hist = NewHistogram(bounds) }).hist
 }
 
 // Total sums the current values of every series in the named family

@@ -6,23 +6,19 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Server is the live ops endpoint: an HTTP listener serving
 //
 //	/metrics       Prometheus text exposition of the registry
 //	/statusz       JSON cluster snapshot from a pluggable provider
-//	/tracez        recent trace-ring events as plain text
 //	/debug/pprof/  the standard Go profiling handlers
 //
 // It is opt-in (nothing listens unless a command passes -obs-addr), serves
 // scrapes without ever blocking instrument writers, and is safe to
-// repoint: SetRegistry/SetStatus/SetTrace swap the sources atomically, so
+// repoint: SetRegistry/SetStatus swap the sources atomically, so
 // a driver that rebuilds its cluster between scenarios keeps one server
 // up.
 type Server struct {
@@ -32,7 +28,6 @@ type Server struct {
 
 	reg    atomic.Pointer[Registry]
 	status atomic.Pointer[func() any]
-	ring   atomic.Pointer[trace.Ring]
 }
 
 // NewServer starts an ops server on addr (e.g. "127.0.0.1:9100"; port 0
@@ -49,7 +44,6 @@ func NewServer(addr string, reg *Registry) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/statusz", s.handleStatusz)
-	mux.HandleFunc("/tracez", s.handleTracez)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -70,9 +64,6 @@ func (s *Server) SetRegistry(reg *Registry) { s.reg.Store(reg) }
 // its result rendered as JSON.
 func (s *Server) SetStatus(fn func() any) { s.status.Store(&fn) }
 
-// SetTrace installs the trace ring /tracez renders.
-func (s *Server) SetTrace(r *trace.Ring) { s.ring.Store(r) }
-
 // Close shuts the listener and server down.
 func (s *Server) Close() error { return s.srv.Close() }
 
@@ -92,10 +83,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 type statuszEnvelope struct {
 	// UptimeSeconds is how long this ops server has been up.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// TraceEvents is the total events emitted into the trace ring.
-	TraceEvents uint64 `json:"trace_events"`
-	// TraceOverwrites is how many ring events were silently overwritten.
-	TraceOverwrites uint64 `json:"trace_overwrites"`
 	// Status is the driver-provided cluster snapshot (null when no
 	// provider is installed).
 	Status any `json:"status"`
@@ -104,10 +91,6 @@ type statuszEnvelope struct {
 // handleStatusz serves the JSON cluster snapshot.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	env := statuszEnvelope{UptimeSeconds: time.Since(s.start).Seconds()}
-	if ring := s.ring.Load(); ring != nil {
-		env.TraceEvents = ring.Count()
-		env.TraceOverwrites = ring.Overwrites()
-	}
 	if fn := s.status.Load(); fn != nil {
 		env.Status = (*fn)()
 	}
@@ -115,30 +98,4 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(env)
-}
-
-// handleTracez serves the newest trace-ring events, oldest first; ?n=100
-// bounds the count (default 256).
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	ring := s.ring.Load()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if ring == nil {
-		fmt.Fprintln(w, "no trace ring attached (run with a tracer to populate /tracez)")
-		return
-	}
-	limit := 256
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			limit = v
-		}
-	}
-	events := ring.Snapshot()
-	if len(events) > limit {
-		events = events[len(events)-limit:]
-	}
-	fmt.Fprintf(w, "# %d events retained, %d total emitted, %d overwritten\n",
-		len(events), ring.Count(), ring.Overwrites())
-	for _, ev := range events {
-		fmt.Fprintln(w, ev)
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func get(t *testing.T, url string) (string, *http.Response) {
@@ -81,11 +79,6 @@ func TestServerStatusz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ring := trace.NewRing(4, trace.LevelDebug)
-	for i := 0; i < 6; i++ { // 4-slot ring: 2 overwrites
-		ring.Debugf(0, "ev %d", i)
-	}
-	srv.SetTrace(ring)
 	srv.SetStatus(func() any { return map[string]int{"shards": 2} })
 
 	body, resp := get(t, "http://"+srv.Addr()+"/statusz")
@@ -93,46 +86,14 @@ func TestServerStatusz(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	var env struct {
-		UptimeSeconds   float64        `json:"uptime_seconds"`
-		TraceEvents     uint64         `json:"trace_events"`
-		TraceOverwrites uint64         `json:"trace_overwrites"`
-		Status          map[string]int `json:"status"`
+		UptimeSeconds float64        `json:"uptime_seconds"`
+		Status        map[string]int `json:"status"`
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
 		t.Fatalf("statusz is not JSON: %v\n%s", err, body)
 	}
-	if env.TraceEvents != 6 || env.TraceOverwrites != 2 {
-		t.Errorf("trace events/overwrites = %d/%d, want 6/2", env.TraceEvents, env.TraceOverwrites)
-	}
 	if env.Status["shards"] != 2 {
 		t.Errorf("status payload = %v", env.Status)
-	}
-}
-
-func TestServerTracez(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Without a ring: a friendly hint, not an error.
-	body, _ := get(t, "http://"+srv.Addr()+"/tracez")
-	if !strings.Contains(body, "no trace ring") {
-		t.Errorf("ringless tracez = %q", body)
-	}
-
-	ring := trace.NewRing(8, trace.LevelDebug)
-	for i := 0; i < 5; i++ {
-		ring.Infof(1, "event-%d", i)
-	}
-	srv.SetTrace(ring)
-	body, _ = get(t, "http://"+srv.Addr()+"/tracez?n=2")
-	if !strings.Contains(body, "event-4") || strings.Contains(body, "event-2") {
-		t.Errorf("tracez?n=2 should hold only the 2 newest events:\n%s", body)
-	}
-	if !strings.Contains(body, "5 total emitted") {
-		t.Errorf("tracez header missing totals:\n%s", body)
 	}
 }
 

@@ -13,14 +13,16 @@ import (
 // protocol: ordered ack release.
 //
 // The group-commit leader (groupcommit.go) appends and publishes a batch
-// under the replica lock, then hands the batch to this stage instead of
-// fsyncing inline. The WAL's background sync stage (wal.StartPipeline)
-// retires the fsync outside the lock, and the per-replica ack worker below
-// releases client acks strictly in batch order once each batch's covering
-// sync completes (wal.WaitDurable). The replica lock is free during the
-// disk wait, so the next batches append and publish while earlier ones are
-// still syncing — multiple batches in flight, one fsync shared by all of
-// them when the disk is the bottleneck.
+// under the replica lock, then hands the batch to this stage. The WAL's
+// background sync stage (wal.StartPipeline) retires the fsync outside the
+// lock, and the per-replica ack worker below releases client acks strictly
+// in batch order once each batch's covering sync completes
+// (wal.WaitDurable). The replica lock is free during the disk wait, so the
+// next batches append and publish while earlier ones are still syncing —
+// multiple batches in flight, one fsync shared by all of them when the
+// disk is the bottleneck. release is also the ONLY post-commit tail: a
+// leader with no worker to hand a batch to (memory replicas; durable ones
+// before Start or after Stop) calls it directly.
 //
 // Invariants the stage preserves:
 //
@@ -29,23 +31,52 @@ import (
 //   - Order: acks release in exactly the order batches committed; batch
 //     N+1's acks never precede batch N's.
 //   - Fail-stop: if a covering sync fails, NO ack it covers escapes — the
-//     worker fails the batch's waiters and fail-stops the replica, exactly
-//     like an inline sync failure did.
+//     replica is fail-stopped first and the batch's waiters are failed.
+
+// walGate is the durability gate: a replica's WAL and the index of its
+// newest record, captured under r.mu together with whatever is about to
+// leave the replica (acks, entry-carrying envelopes, a store image), so
+// that wait — called after r.mu drops — returns once every record behind
+// that state is on disk. The zero gate (memory replicas) is open. Holding
+// the incarnation's own wal also means a concurrent Kill/restart swapping
+// r.wal cannot redirect a stale wait.
+type walGate struct {
+	wal *wal.Log
+	rec uint64
+}
+
+// durabilityGate captures the gate for the replica's current state. Called
+// with r.mu held.
+func (r *replica) durabilityGate() walGate {
+	if r.wal == nil {
+		return walGate{}
+	}
+	return walGate{wal: r.wal, rec: r.wal.Records()}
+}
+
+// wait blocks until the gate's records are durable, or reports why they
+// never will be (sticky WAL error, or the log closed first).
+func (g walGate) wait() error {
+	if g.wal == nil {
+		return nil
+	}
+	return g.wal.WaitDurable(g.rec)
+}
 
 // ackRelease is one committed batch waiting for its covering sync: the
-// parked writers to complete, the fan-out to send, and the WAL record the
-// durability watermark must reach first. It captures the wal and endpoint
-// of the incarnation that committed it, so a concurrent Kill/restart
-// swapping r.wal or r.ep cannot redirect a stale release.
+// parked writers to complete, the fan-out to send, and the gate that must
+// open first. It captures the endpoint of the incarnation that committed
+// it, so a concurrent restart swapping r.ep cannot redirect a stale
+// release.
 type ackRelease struct {
 	batch []*writeReq
 	out   []protocol.Envelope
-	rec   uint64
-	wal   *wal.Log
+	gate  walGate
 	ep    transport.Endpoint
-	id    NodeID
-	// start is the commit pickup time (CommitSeconds); enq the hand-off to
-	// this stage (AckReleaseSeconds). Zero when observability is off.
+	// start is the commit pickup time (CommitSeconds; zero unless
+	// observability or admission needs it); enq the hand-off to the ack
+	// worker (AckReleaseSeconds; zero when observability is off or the
+	// release was never queued).
 	start time.Time
 	enq   time.Time
 }
@@ -66,7 +97,7 @@ type ackQueue struct {
 
 // start launches the worker. Called from Cluster.Start for durable
 // replicas; before it runs (or after stop), the leader's push fails and
-// commits fall back to the inline sync path.
+// the leader runs release itself.
 func (q *ackQueue) start(r *replica) {
 	q.mu.Lock()
 	if q.running {
@@ -100,7 +131,7 @@ func (q *ackQueue) stop() {
 }
 
 // push enqueues a release, reporting false when no worker will serve it
-// (not started, or stopping) — the caller must then release inline.
+// (not started, or stopping) — the caller must then run release itself.
 func (q *ackQueue) push(rel ackRelease) bool {
 	q.mu.Lock()
 	if !q.running || q.closing {
@@ -152,26 +183,30 @@ func (r *replica) ackWorker() {
 		if !ok {
 			return
 		}
-		r.release(rel)
+		r.release(&rel)
 	}
 }
 
 // release completes one batch: wait for the covering sync, then ack,
-// observe, fire watches, and send the batch's fan-out — the exact
-// post-sync tail the leader used to run inline, now off the replica lock.
-func (r *replica) release(rel ackRelease) {
+// observe, fire watches, and send the batch's fan-out — the one post-commit
+// tail, run off the replica lock by the ack worker or, with no worker, by
+// the commit leader.
+func (r *replica) release(rel *ackRelease) {
 	c := r.cluster
 	co := c.opts.obs
-	coalesced := rel.wal.Durable() >= rel.rec
-	if err := rel.wal.WaitDurable(rel.rec); err != nil {
+	// A queued release whose records are already durable at pickup rode an
+	// earlier batch's sync.
+	queued := !rel.enq.IsZero()
+	coalesced := queued && rel.gate.wal.Durable() >= rel.gate.rec
+	if err := rel.gate.wait(); err != nil {
 		// The covering sync failed (or the WAL died first): no ack it
 		// covers may escape. Fail-stop the replica FIRST — unless a Kill
 		// or another fail-stop already retired this incarnation, in which
 		// case the verdict is theirs — and only then fail the waiting
 		// clients, so a client that observes the error finds the replica
-		// already fully stopped, exactly as with an inline sync failure.
+		// already fully stopped.
 		r.mu.Lock()
-		if r.dead || r.wal != rel.wal {
+		if r.dead || r.wal != rel.gate.wal {
 			r.mu.Unlock()
 		} else {
 			r.failStop(err)
@@ -179,18 +214,10 @@ func (r *replica) release(rel ackRelease) {
 		// When a fail-stop (ours or a concurrent one) retired the replica,
 		// reject with the typed fail-stop error so clients learn the
 		// reason; an administrative Kill keeps the raw sync error.
-		rejection := err
 		if r.failCause.Load() != nil {
-			rejection = r.deadError()
+			err = r.deadError()
 		}
-		if co != nil {
-			co.WriteErrors.Add(uint64(len(rel.batch)))
-		}
-		for _, req := range rel.batch {
-			req.err = rejection
-			req.done <- struct{}{}
-		}
-		r.wq.recycle(rel.batch)
+		r.failBatch(rel.batch, err)
 		return
 	}
 	r.observeSojourn(co, rel.batch[0].arrival)
@@ -202,13 +229,17 @@ func (r *replica) release(rel ackRelease) {
 		co.WriteBatches.Inc()
 		co.BatchSize.Observe(float64(len(rel.batch)))
 		co.CommitSeconds.Observe(time.Since(rel.start).Seconds())
-		co.AckReleaseSeconds.Observe(time.Since(rel.enq).Seconds())
-		if coalesced {
-			co.CoalescedSyncs.Inc()
+		if queued {
+			// The ack stage's own latency and sync sharing: only releases
+			// that waited in the worker's queue have either.
+			co.AckReleaseSeconds.Observe(time.Since(rel.enq).Seconds())
+			if coalesced {
+				co.CoalescedSyncs.Inc()
+			}
 		}
 		c.goodput.RecordN(time.Now(), len(rel.batch))
 	}
-	c.checkWatches(rel.id)
+	c.checkWatches(r.id)
 	r.sendAllVia(rel.ep, rel.out)
 	r.wq.recycle(rel.batch)
 }

@@ -24,10 +24,13 @@ import (
 //     sees mutations in exactly the order the replica applied them.
 //
 //   - Client writes become durable before they become visible: the
-//     group-commit leader fsyncs the batch (one fsync per batch, not per
-//     write) while still holding the replica lock, so no anti-entropy
-//     session can serve an entry that could still be lost in a crash, and
-//     every acknowledged write is on disk before its client unblocks.
+//     group-commit leader appends the batch under the replica lock, the
+//     WAL's background sync stage fsyncs it (one fsync per batch or per
+//     several, never per write) with the lock released, and acks plus
+//     fan-out release in commit order only once that sync covers them
+//     (ackrelease.go). The run loop's egress gate holds entry-carrying
+//     envelopes the same way, so no anti-entropy session can serve an
+//     entry that could still be lost in a crash.
 //
 //   - Entries learned from peers are journaled buffered and reach disk
 //     with the next batch fsync or the periodic maintenance sync; losing
@@ -61,10 +64,10 @@ func WithDurability(dir string) Option {
 
 // WithDurabilityTuning overrides the WAL configuration for durable
 // clusters: geometry (segment size, snapshot cadence) and the pipelined
-// sync stage's knobs (segment preallocation, fsync-coalescing window,
-// O_DSYNC). It replaces the runtime's defaults wholesale — including the
-// default-on segment preallocation — so pass exactly the configuration you
-// want. Only meaningful alongside WithDurability.
+// sync stage's knobs (segment preallocation, fsync-coalescing window). It
+// replaces the runtime's defaults wholesale — including the default-on
+// segment preallocation — so pass exactly the configuration you want. Only
+// meaningful alongside WithDurability.
 func WithDurabilityTuning(opts wal.Options) Option {
 	return func(o *options) { o.walOpts = opts }
 }
@@ -77,8 +80,8 @@ func WithDurabilityTuning(opts wal.Options) Option {
 //
 //   - Slow disk (fsync stalls): acks slow down — durable-before-visible is
 //     never relaxed — and the stall surfaces as repro_wal_sync_stall_seconds.
-//   - Failed sync, batch path: the group-commit leader fail-stops the
-//     replica before any ack or fan-out (see commitBatch).
+//   - Failed sync, batch path: the replica fail-stops before any ack or
+//     fan-out the sync covers escapes (see release).
 //   - Failed sync, maintenance path: the WAL error is sticky, so the
 //     replica fail-stops immediately rather than waiting for the next
 //     client batch to trip over it (see walMaintain).
@@ -107,20 +110,31 @@ func (j walJournal) JournalAdopt(summary *vclock.Summary, items []store.Item, cl
 	_ = j.w.AppendAdopt(summary, items, clock)
 }
 
-// openReplicaWAL opens (or recovers) replica id's WAL during cluster
-// construction. On success r.wal is set and the recovery is returned for
-// the caller to replay once the node exists. On failure the error is
-// recorded on the cluster and surfaced by Start.
-func (c *Cluster) openReplicaWAL(r *replica, id NodeID) *wal.Recovery {
+// openWAL opens (or recovers) replica id's WAL and starts its sync stage:
+// every WAL the runtime holds is pipelined, so a durability gate always
+// waits on the background sync and never fsyncs on its caller's goroutine.
+func (c *Cluster) openWAL(id NodeID) (*wal.Log, *wal.Recovery, error) {
+	w, rec, err := wal.Open(walDir(c.opts.durDir, id), c.opts.walOptions())
+	if err != nil {
+		return nil, nil, fmt.Errorf("runtime: replica %v durability: %w", id, err)
+	}
+	w.StartPipeline()
+	return w, rec, nil
+}
+
+// openReplicaWAL opens r's WAL during cluster construction. On success
+// r.wal is set and the recovery is returned for the caller to replay once
+// the node exists. On failure the error is recorded on the cluster and
+// surfaced by Start.
+func (c *Cluster) openReplicaWAL(r *replica) *wal.Recovery {
 	if c.opts.durDir == "" || c.initErr != nil {
 		return nil
 	}
-	w, rec, err := wal.Open(walDir(c.opts.durDir, id), c.opts.walOptions())
+	w, rec, err := c.openWAL(r.id)
 	if err != nil {
-		c.initErr = fmt.Errorf("runtime: replica %v durability: %w", id, err)
+		c.initErr = err
 		return nil
 	}
-	w.StartPipeline()
 	r.wal = w
 	return rec
 }
@@ -165,23 +179,13 @@ func replayRecovery(n *node.Node, rec *wal.Recovery) {
 // It requires a durable, memory-backed cluster and a replica killed by
 // Kill (or found dead).
 func (c *Cluster) RestartFromDisk(id NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.replicas) {
-		return fmt.Errorf("runtime: no replica %v", id)
+	r, ctx, err := c.restartable(id)
+	if err != nil {
+		return err
 	}
 	if c.opts.durDir == "" {
 		return fmt.Errorf("runtime: replica %v has no durability (use WithDurability)", id)
 	}
-	if c.net == nil {
-		return fmt.Errorf("runtime: restart unsupported on TCP clusters")
-	}
-	c.mu.Lock()
-	started, stopped := c.started, c.stopped
-	ctx := c.ctx
-	c.mu.Unlock()
-	if !started || stopped {
-		return fmt.Errorf("runtime: cluster not running")
-	}
-	r := c.replicas[id]
 	// The whole revival — including wal.Open, which creates (and would
 	// truncate) the next active segment file — runs under r.mu after the
 	// dead-check, so a racing restart can never have this path touch the
@@ -191,43 +195,19 @@ func (c *Cluster) RestartFromDisk(id NodeID) error {
 		r.mu.Unlock()
 		return fmt.Errorf("runtime: replica %v is alive", id)
 	}
-	w, rec, err := wal.Open(walDir(c.opts.durDir, id), c.opts.walOptions())
+	w, rec, err := c.openWAL(id)
 	if err != nil {
 		r.mu.Unlock()
-		return fmt.Errorf("runtime: replica %v recovery: %w", id, err)
+		return err
 	}
-	w.StartPipeline()
-	nbrs := c.graph.NeighborsCopy(id)
-	n := node.New(node.Config{
-		ID:        id,
-		Neighbors: nbrs,
-		Selector:  c.opts.policy(id, nbrs),
-		FastPush:  c.opts.fastPush,
-		FanOut:    c.opts.fanOut,
-		Demand:    demandSource(&c.opts, r, c.field, id),
-		Observer:  nodeObserver(&c.opts, id),
-	})
-	replayRecovery(n, rec)
-	n.AttachJournal(walJournal{w})
-	n.Log().LimitTruncation(rec.Snapshot)
+	r.node, r.wal = c.newNode(r), w
+	r.finishReplicaDurability(rec)
 	// Content handed in via ApplySnapshot while this replica was down lives
 	// in no WAL record of ours; re-absorb (and journal) it now.
 	if items := c.absorbed.Snapshot(); len(items) > 0 {
-		n.AbsorbItems(items)
+		r.node.AbsorbItems(items)
 	}
-	r.node = n
-	r.wal = w
-	r.ep = c.net.Attach(id)
-	r.dead = false
-	// Re-seed the applied watermark from the recovered log before the
-	// store is published (see the replica.applied field doc).
-	r.applied.reset(r.node.Log())
-	r.store.Store(r.node.Store())
-	r.mu.Unlock()
-	r.spawn(ctx, &c.wg)
-	// Leveled reads parked on this replica may already be satisfied by the
-	// recovered coverage.
-	c.signalFresh(id)
+	c.revive(ctx, r)
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,5 +388,60 @@ func TestSyncFailureFailStops(t *testing.T) {
 	}
 	if _, err := c.Write(0, "after", []byte("recovered")); err != nil {
 		t.Fatalf("recovered replica rejects writes: %v", err)
+	}
+}
+
+// A full lifecycle — Start, load, Kill, restart, Stop — leaves no goroutine
+// behind: run loops (old and new incarnation), ack workers, WAL sync stages
+// and promoted background committers all retire.
+func TestLifecycleLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		build   func(t *testing.T) *Cluster
+		restart func(c *Cluster) error
+	}{
+		{"memory",
+			func(t *testing.T) *Cluster { return New(topology.Complete(3), demand.Static{1, 1, 1}, WithSeed(7)) },
+			func(c *Cluster) error { return c.Restart(1) }},
+		{"durable",
+			func(t *testing.T) *Cluster { return durableCluster(t, 3, t.TempDir()) },
+			func(c *Cluster) error { return c.RestartFromDisk(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := goruntime.NumGoroutine()
+			c := tc.build(t)
+			if err := c.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						if _, err := c.Write(0, fmt.Sprintf("w%d-k%02d", w, i), []byte("v")); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if err := c.Kill(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.restart(c); err != nil {
+				t.Fatal(err)
+			}
+			c.Stop()
+			deadline := time.Now().Add(3 * time.Second)
+			for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := goruntime.NumGoroutine(); n > before {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines before, %d after Stop:\n%s", before, n, buf[:goruntime.Stack(buf, true)])
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -248,5 +249,37 @@ func TestPowerCutLosesNoAckedWrite(t *testing.T) {
 		if !ok || string(v) != fmt.Sprintf("v%03d", i) {
 			t.Fatalf("acked write %s lost to the power cut: ok=%v v=%q", key, ok, v)
 		}
+	}
+}
+
+// A replica revived from disk after a fail-stop starts with a clean bill of
+// health: it serves, reports no fail reason, and a later administrative
+// Kill reads as "down", not as the long-healed disk fault.
+func TestRestartFromDiskClearsFailStop(t *testing.T) {
+	ffs := vfs.NewFaultFS(vfs.OS, 14)
+	c := durableCluster(t, 2, t.TempDir(), WithDurabilityFS(ffs))
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	ffs.FailSyncs(replicaScope(0))
+	var fs *FailStopError
+	if _, err := c.Write(0, "doomed", []byte("x")); !errors.As(err, &fs) {
+		t.Fatalf("write on a dead disk = %v, want *FailStopError", err)
+	}
+	ffs.HealAll()
+	waitDead(t, c, 0, 2*time.Second)
+	if err := c.RestartFromDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	if h := c.Health(0); !h.Serving || h.FailReason != "" {
+		t.Errorf("revived replica health = %+v, want serving with no fail reason", h)
+	}
+	if err := c.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(0, "k", []byte("v")); err == nil || errors.As(err, &fs) {
+		t.Fatalf("write at a killed replica = %v, want a plain down error", err)
 	}
 }

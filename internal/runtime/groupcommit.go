@@ -33,8 +33,8 @@ type writeReq struct {
 	key   string
 	value []byte
 
-	// arrival stamps when the write entered the queue (UnixNano); the ack
-	// points derive the batch head's sojourn — the admission controller's
+	// arrival stamps when the write entered the queue (UnixNano); release
+	// derives the batch head's sojourn — the admission controller's
 	// congestion signal — from it. deadline is arrival+WriteDeadline when
 	// deadlines are configured (0 otherwise): a request parked past it is
 	// shed by the leader before it reaches the node or the WAL.
@@ -162,20 +162,20 @@ func (r *replica) drain(c *Cluster, n int) bool {
 }
 
 // commitBatch folds one batch into the node under a single replica-lock
-// acquisition, then makes it durable and visible in one of two ways:
+// acquisition and builds the batch's ackRelease — waiters, fan-out, and the
+// WAL point that must be durable first — under that same lock. Everything
+// after durability is release's job (ackrelease.go), wherever it runs:
 //
-// Pipelined (durable replica, ack worker running — the steady state): the
-// leader captures the batch's covering WAL record and hands the completed
-// batch to the replica's ack worker (ackrelease.go) BEFORE releasing the
-// replica lock, so releases enter the FIFO in commit order. The fsync
-// retires in the WAL's background sync stage, the replica lock is free
-// while the disk works, and the worker releases acks and fan-out only
-// after the covering sync completes — durable before visible, preserved
-// per session, with multiple batches in flight.
+// With an ack worker running (durable replica, Start to Stop — the steady
+// state) the release is pushed to the worker BEFORE the replica lock drops,
+// so releases enter its FIFO in commit order. The fsync retires in the
+// WAL's background sync stage, the replica lock is free while the disk
+// works, and several batches are in flight at once.
 //
-// Inline (no durability, or no worker — before Start, after Stop): the
-// batch is fsynced (once, for the whole batch) while the replica lock is
-// still held, exactly the pre-pipeline protocol.
+// With no worker to hand it to (memory replicas, whose release is trivially
+// durable; durable replicas before Start or after Stop) the leader drops
+// the lock and runs release itself — the same wait on the sync stage, the
+// same tail, in commit order because leadership is exclusive.
 //
 // Either way a sync FAILURE fail-stops the replica (see failStop): the
 // batch's entries are in the in-memory log but can never reach disk, so
@@ -198,15 +198,7 @@ func (r *replica) commitBatch(c *Cluster, batch []*writeReq) {
 	r.mu.Lock()
 	if r.dead {
 		r.mu.Unlock()
-		err := r.deadError()
-		if co != nil {
-			co.WriteErrors.Add(uint64(len(batch)))
-		}
-		for _, req := range batch {
-			req.err = err
-			req.done <- struct{}{}
-		}
-		r.wq.recycle(batch)
+		r.failBatch(batch, r.deadError())
 		return
 	}
 	ops := r.opsScratch[:0]
@@ -226,74 +218,45 @@ func (r *replica) commitBatch(c *Cluster, batch []*writeReq) {
 		ops[i].Value = nil
 	}
 	r.opsScratch = ops[:0]
-	id := r.node.ID()
-	ep := r.ep
+	rel := ackRelease{batch: batch, out: out, ep: r.ep, start: commitStart}
 	if r.wal != nil {
 		// A dead log (sticky error, or closed by a crash simulation)
 		// rejects journal appends without advancing Records, so the
 		// watermark below would be vacuously durable. Health-check first:
 		// the batch's entries are in memory but can never reach disk —
-		// the fail-stop case, exactly as if the inline sync had failed.
+		// the fail-stop case, exactly as if the covering sync had failed.
 		if err := r.wal.Err(); err != nil {
 			r.failStop(err)
-			rejection := r.deadError()
-			if co != nil {
-				co.WriteErrors.Add(uint64(len(batch)))
-			}
-			for _, req := range batch {
-				req.err = rejection
-				req.done <- struct{}{}
-			}
-			r.wq.recycle(batch)
+			r.failBatch(batch, r.deadError())
 			return
 		}
-		rel := ackRelease{
-			batch: batch,
-			out:   out,
-			rec:   r.wal.Records(),
-			wal:   r.wal,
-			ep:    ep,
-			id:    id,
-		}
+		rel.gate = r.durabilityGate()
 		if co != nil {
-			rel.start = commitStart
 			rel.enq = time.Now()
 		}
 		if r.ackq.push(rel) {
 			r.mu.Unlock()
 			return
 		}
-		// No worker to serve the release: sync inline under the lock, the
-		// pre-pipeline protocol.
-		if syncErr := r.wal.Sync(); syncErr != nil {
-			r.failStop(syncErr)
-			rejection := r.deadError()
-			if co != nil {
-				co.WriteErrors.Add(uint64(len(batch)))
-			}
-			for _, req := range batch {
-				req.err = rejection
-				req.done <- struct{}{}
-			}
-			r.wq.recycle(batch)
-			return
-		}
+		// Never queued: there is no ack-release stage latency to report.
+		rel.enq = time.Time{}
 	}
 	r.mu.Unlock()
+	r.release(&rel)
+}
 
-	r.observeSojourn(co, batch[0].arrival)
+// failBatch completes every waiter of a batch that will never be
+// acknowledged with err, and hands the batch buffer back. When a fail-stop
+// is the reason, the caller runs failStop FIRST, so a client that observes
+// the error finds the replica already fully stopped.
+func (r *replica) failBatch(batch []*writeReq, err error) {
+	if co := r.cluster.opts.obs; co != nil {
+		co.WriteErrors.Add(uint64(len(batch)))
+	}
 	for _, req := range batch {
+		req.err = err
 		req.done <- struct{}{}
 	}
-	if co != nil {
-		co.WritesAcked.Add(uint64(len(batch)))
-		co.WriteBatches.Inc()
-		co.BatchSize.Observe(float64(len(batch)))
-		co.CommitSeconds.Observe(time.Since(commitStart).Seconds())
-		c.goodput.RecordN(time.Now(), len(batch))
-	}
-	c.checkWatches(id)
-	r.sendAllVia(ep, out)
 	r.wq.recycle(batch)
 }
 
@@ -383,7 +346,6 @@ func (r *replica) failStop(cause error) {
 		co.Reg.Counter("repro_replica_failstop_total", failStopHelp,
 			co.With(obs.L("replica", id.String()), obs.L("reason", failStopReason(cause)))...).Inc()
 	}
-	r.cluster.opts.tracer.Warnf(id, "replica fail-stopped: %v", cause)
 }
 
 // failStopHelp is shared between the eager family registration (obs.go) and

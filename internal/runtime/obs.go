@@ -98,14 +98,6 @@ func (c *Cluster) registerObs() {
 	reg.GaugeFunc("repro_goodput_writes_per_second",
 		"Exponentially decayed rate of client writes acknowledged cluster-wide (1s window) — goodput, excluding shed and failed writes.",
 		func() float64 { return c.goodput.Rate(time.Now()) }, co.Labels...)
-	if tr := c.opts.tracer; tr != nil {
-		reg.CounterFunc("repro_trace_events_total",
-			"Events emitted into the trace ring (including overwritten).",
-			func() float64 { return float64(tr.Count()) }, co.Labels...)
-		reg.CounterFunc("repro_trace_overwrites_total",
-			"Trace-ring events silently dropped to ring wraparound.",
-			func() float64 { return float64(tr.Overwrites()) }, co.Labels...)
-	}
 	c.registerTransportObs()
 	for i := range c.replicas {
 		c.registerReplicaObs(NodeID(i))

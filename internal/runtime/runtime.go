@@ -31,7 +31,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -51,7 +50,6 @@ type options struct {
 	fastPush       bool
 	fanOut         int
 	seed           int64
-	tracer         *trace.Ring
 	netCfg         transport.MemoryConfig
 	measuredTau    time.Duration // > 0 enables measured demand
 	durDir         string        // != "" enables the durable persistence plane
@@ -66,8 +64,8 @@ type options struct {
 // the injected filesystem, if any. Every wal.Open in the runtime goes
 // through this so fault-injected clusters never touch the real disk path,
 // and every open WAL reports its sync latency into the observability
-// plane's fsync histogram (inline syncs and pipelined sync-stage flushes
-// alike).
+// plane's fsync histogram (maintenance syncs and pipelined sync-stage
+// flushes alike).
 func (o *options) walOptions() wal.Options {
 	opts := o.walOpts
 	if o.walFS != nil {
@@ -139,11 +137,6 @@ func WithFanOut(n int) Option {
 // WithSeed seeds all per-replica RNGs deterministically.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed = seed }
-}
-
-// WithTrace attaches a trace ring.
-func WithTrace(r *trace.Ring) Option {
-	return func(o *options) { o.tracer = r }
 }
 
 // WithNetwork tunes the in-memory network (latency, loss).
@@ -220,36 +213,48 @@ func New(g *topology.Graph, field demand.Field, opts ...Option) *Cluster {
 		c.goodput = newDemandMeter(time.Second)
 	}
 	for i := 0; i < g.N(); i++ {
-		id := NodeID(i)
-		nbrs := g.NeighborsCopy(id)
-		r := &replica{
-			cluster: c,
-			id:      id,
-			rng:     rand.New(rand.NewSource(o.seed + int64(i)*7919)),
-			ep:      c.net.Attach(id),
-			adm:     admission{cfg: o.admission},
-		}
-		rec := c.openReplicaWAL(r, id)
-		r.node = node.New(node.Config{
-			ID:        id,
-			Neighbors: nbrs,
-			Selector:  o.policy(id, nbrs),
-			FastPush:  o.fastPush,
-			FanOut:    o.fanOut,
-			Demand:    demandSource(&o, r, field, id),
-			Observer:  nodeObserver(&o, id),
-		})
-		// A durable replica recovers its on-disk state (cold start) before
-		// the store is published to the lock-free read path. The applied
-		// watermark seeds from the recovered log for the same reason: a
-		// leveled read must never observe coverage the store lacks.
-		r.finishReplicaDurability(rec)
-		r.applied.reset(r.node.Log())
-		r.store.Store(r.node.Store())
-		c.replicas = append(c.replicas, r)
+		c.addReplica(NodeID(i), c.net.Attach(NodeID(i)))
 	}
 	c.registerObs()
 	return c
+}
+
+// addReplica constructs replica id on endpoint ep and appends it to the
+// cluster — the one constructor behind New and NewTCP.
+func (c *Cluster) addReplica(id NodeID, ep transport.Endpoint) {
+	r := &replica{
+		cluster: c,
+		id:      id,
+		rng:     rand.New(rand.NewSource(c.opts.seed + int64(id)*7919)),
+		ep:      ep,
+		adm:     admission{cfg: c.opts.admission},
+	}
+	rec := c.openReplicaWAL(r)
+	r.node = c.newNode(r)
+	// A durable replica recovers its on-disk state (cold start) before
+	// the store is published to the lock-free read path. The applied
+	// watermark seeds from the recovered log for the same reason: a
+	// leveled read must never observe coverage the store lacks.
+	r.finishReplicaDurability(rec)
+	r.applied.reset(r.node.Log())
+	r.store.Store(r.node.Store())
+	c.replicas = append(c.replicas, r)
+}
+
+// newNode builds a fresh protocol state machine for r's identity — every
+// incarnation (construction, empty-state restart, disk recovery) starts
+// from this one configuration.
+func (c *Cluster) newNode(r *replica) *node.Node {
+	nbrs := c.graph.NeighborsCopy(r.id)
+	return node.New(node.Config{
+		ID:        r.id,
+		Neighbors: nbrs,
+		Selector:  c.opts.policy(r.id, nbrs),
+		FastPush:  c.opts.fastPush,
+		FanOut:    c.opts.fanOut,
+		Demand:    demandSource(&c.opts, r, c.field, r.id),
+		Observer:  nodeObserver(&c.opts, r.id),
+	})
 }
 
 // DataDir returns the durable persistence plane's base directory, or ""
@@ -372,20 +377,10 @@ func (c *Cluster) Restart(id NodeID) error { return c.restart(id, false) }
 func (c *Cluster) RestartPreserving(id NodeID) error { return c.restart(id, true) }
 
 func (c *Cluster) restart(id NodeID, preserve bool) error {
-	if int(id) < 0 || int(id) >= len(c.replicas) {
-		return fmt.Errorf("runtime: no replica %v", id)
+	r, ctx, err := c.restartable(id)
+	if err != nil {
+		return err
 	}
-	if c.net == nil {
-		return errors.New("runtime: restart unsupported on TCP clusters")
-	}
-	c.mu.Lock()
-	started, stopped := c.started, c.stopped
-	ctx := c.ctx
-	c.mu.Unlock()
-	if !started || stopped {
-		return errors.New("runtime: cluster not running")
-	}
-	r := c.replicas[id]
 	r.mu.Lock()
 	alive := !r.dead
 	r.mu.Unlock()
@@ -429,20 +424,16 @@ func (c *Cluster) restart(id NodeID, preserve bool) error {
 	// WAL was abandoned by Kill, so nothing else writes these files.)
 	var reopened *wal.Log
 	if c.opts.durDir != "" {
-		dir := walDir(c.opts.durDir, id)
 		if !preserve {
-			if err := wal.Remove(c.opts.walFS, dir); err != nil {
+			if err := wal.Remove(c.opts.walFS, walDir(c.opts.durDir, id)); err != nil {
 				r.mu.Unlock()
 				return fmt.Errorf("runtime: replica %v state reset: %w", id, err)
 			}
 		}
-		var err error
-		reopened, _, err = wal.Open(dir, c.opts.walOptions())
-		if err != nil {
+		if reopened, _, err = c.openWAL(id); err != nil {
 			r.mu.Unlock()
-			return fmt.Errorf("runtime: replica %v durability: %w", id, err)
+			return err
 		}
-		reopened.StartPipeline()
 	}
 	if !preserve {
 		// The identity's own write head and Lamport clock survive the
@@ -452,16 +443,7 @@ func (c *Cluster) restart(id NodeID, preserve bool) error {
 		// its advancing summary masks old entries it never recovered.
 		ownHead := r.node.Summary().Get(id)
 		minClock := r.node.Clock()
-		nbrs := c.graph.NeighborsCopy(id)
-		r.node = node.New(node.Config{
-			ID:        id,
-			Neighbors: nbrs,
-			Selector:  c.opts.policy(id, nbrs),
-			FastPush:  c.opts.fastPush,
-			FanOut:    c.opts.fanOut,
-			Demand:    demandSource(&c.opts, r, c.field, id),
-			Observer:  nodeObserver(&c.opts, id),
-		})
+		r.node = c.newNode(r)
 		if reopened != nil {
 			// Attached before Bootstrap so the bootstrap image is journaled.
 			r.node.AttachJournal(walJournal{reopened})
@@ -485,9 +467,8 @@ func (c *Cluster) restart(id NodeID, preserve bool) error {
 		// head; it must be on disk BEFORE the replica is published — a
 		// crash (or Kill) right after publication would otherwise leave a
 		// wiped directory whose next disk recovery reissues timestamps
-		// peers already saw. The fsync happens under r.mu, like the
-		// group-commit durability point, so nothing can observe the
-		// replica between publication and durability.
+		// peers already saw. The replica is still dead and r.mu is held, so
+		// nothing can observe it between the record and its durability.
 		if err := reopened.Sync(); err != nil {
 			r.mu.Unlock()
 			reopened.Close()
@@ -495,7 +476,34 @@ func (c *Cluster) restart(id NodeID, preserve bool) error {
 		}
 		r.wal = reopened
 	}
-	r.ep = c.net.Attach(id)
+	c.revive(ctx, r)
+	return nil
+}
+
+// restartable resolves replica id for a restart path, which needs a
+// running memory-backed cluster. It returns the replica and the context
+// its next incarnation runs under.
+func (c *Cluster) restartable(id NodeID) (*replica, context.Context, error) {
+	if int(id) < 0 || int(id) >= len(c.replicas) {
+		return nil, nil, fmt.Errorf("runtime: no replica %v", id)
+	}
+	if c.net == nil {
+		return nil, nil, errors.New("runtime: restart unsupported on TCP clusters")
+	}
+	c.mu.Lock()
+	started, stopped, ctx := c.started, c.stopped, c.ctx
+	c.mu.Unlock()
+	if !started || stopped {
+		return nil, nil, errors.New("runtime: cluster not running")
+	}
+	return c.replicas[id], ctx, nil
+}
+
+// revive publishes a dead replica's next incarnation — the tail every
+// restart path ends in. Called with r.mu held and r.node (and r.wal, when
+// durable) already rebuilt; returns with r.mu released.
+func (c *Cluster) revive(ctx context.Context, r *replica) {
+	r.ep = c.net.Attach(r.id)
 	r.dead = false
 	// A restarted incarnation starts with a clean bill of health.
 	r.failCause.Store(nil)
@@ -509,9 +517,8 @@ func (c *Cluster) restart(id NodeID, preserve bool) error {
 	r.mu.Unlock()
 	r.spawn(ctx, &c.wg)
 	// Leveled reads parked on this replica may already be satisfied by the
-	// bootstrap coverage.
-	c.signalFresh(id)
-	return nil
+	// new incarnation's coverage.
+	c.signalFresh(r.id)
 }
 
 // Serving reports whether replica id currently accepts client-plane
@@ -714,16 +721,10 @@ func (c *Cluster) Snapshot(id NodeID) ([]store.Item, error) {
 	r := c.replicas[id]
 	r.mu.Lock()
 	st := r.node.Store()
-	w := r.wal
-	var rec uint64
-	if w != nil {
-		rec = w.Records()
-	}
+	gate := r.durabilityGate()
 	r.mu.Unlock()
-	if w != nil {
-		if err := w.WaitDurable(rec); err != nil {
-			return nil, fmt.Errorf("runtime: replica %v snapshot durability: %w", id, err)
-		}
+	if err := gate.wait(); err != nil {
+		return nil, fmt.Errorf("runtime: replica %v snapshot durability: %w", id, err)
 	}
 	return st.Snapshot(), nil
 }
@@ -944,7 +945,7 @@ type replica struct {
 	adm admission
 	// failCause records why the replica fail-stopped (nil otherwise), so
 	// dead-replica error paths and health probes can report the reason
-	// without the replica lock. Set by failStop, cleared by restart.
+	// without the replica lock. Set by failStop, cleared by revive.
 	failCause atomic.Pointer[failStopInfo]
 	// wal is the durable persistence plane (nil unless WithDurability).
 	// Journaling happens through the node's journal hook under mu; Sync is
@@ -976,7 +977,8 @@ type replica struct {
 
 	// ackq is the pipelined commit protocol's ordered ack-release stage
 	// (durable clusters only; see ackrelease.go). Its worker runs from
-	// Start to Stop; outside that window commits sync inline.
+	// Start to Stop; outside that window the commit leader releases its
+	// own batches.
 	ackq ackQueue
 
 	// Lifecycle, guarded by mu: cancel/done belong to the current
@@ -1000,13 +1002,9 @@ func (r *replica) exportState() (*vclock.Summary, []store.Item, bool) {
 		return nil, nil, false
 	}
 	sum, items := r.node.Summary(), r.node.Store().Snapshot()
-	w := r.wal
-	var rec uint64
-	if w != nil {
-		rec = w.Records()
-	}
+	gate := r.durabilityGate()
 	r.mu.Unlock()
-	if w != nil && w.WaitDurable(rec) != nil {
+	if gate.wait() != nil {
 		return nil, nil, false
 	}
 	return sum, items, true
@@ -1028,21 +1026,23 @@ func (r *replica) spawn(parent context.Context, wg *sync.WaitGroup) {
 	}()
 }
 
+// run is the replica's one event loop: inbound envelopes, the anti-entropy
+// session timer, the demand-advert ticker and — on durable replicas — the
+// WAL maintenance tick (buffer sync, snapshot rollover). Memory replicas
+// leave maint nil: select drops nil-channel cases before it polls or locks
+// anything, so they pay nothing for the case they can never take.
 func (r *replica) run(ctx context.Context) {
 	c := r.cluster
 	sessionTimer := time.NewTimer(r.expInterval())
 	defer sessionTimer.Stop()
 	advertTicker := time.NewTicker(c.opts.advertInterval)
 	defer advertTicker.Stop()
-	// Durable replicas run a variant loop with a WAL-maintenance ticker.
-	// The split exists because selectgo scans every case on every inbound
-	// envelope — the protocol hot path — and non-durable replicas must not
-	// pay for a fifth case they can never take.
+	var maint <-chan time.Time
 	if r.wal != nil {
-		r.runDurable(ctx, sessionTimer, advertTicker)
-		return
+		t := time.NewTicker(walMaintenanceInterval)
+		defer t.Stop()
+		maint = t.C
 	}
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -1057,30 +1057,7 @@ func (r *replica) run(ctx context.Context) {
 			sessionTimer.Reset(r.expInterval())
 		case <-advertTicker.C:
 			r.advertise()
-		}
-	}
-}
-
-// runDurable is the run loop of a durable replica: identical to run plus
-// the periodic WAL maintenance tick (buffer sync, snapshot rollover).
-func (r *replica) runDurable(ctx context.Context, sessionTimer *time.Timer, advertTicker *time.Ticker) {
-	maint := time.NewTicker(walMaintenanceInterval)
-	defer maint.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return
-			}
-			r.handle(env)
-		case <-sessionTimer.C:
-			r.session()
-			sessionTimer.Reset(r.expInterval())
-		case <-advertTicker.C:
-			r.advertise()
-		case <-maint.C:
+		case <-maint:
 			r.walMaintain()
 		}
 	}
@@ -1106,34 +1083,27 @@ func (r *replica) handle(env protocol.Envelope) {
 	c := r.cluster
 	r.mu.Lock()
 	out := r.node.HandleMessage(c.now(), env)
-	id := r.node.ID()
 	// Every store apply the message triggered has completed; advance the
 	// applied watermark before the lock drops so leveled reads can trust it.
 	r.applied.publish(r.node.Log())
-	var w *wal.Log
-	var rec uint64
+	var gate walGate
 	if r.wal != nil && carriesEntries(out) {
 		// Egress gate of the pipelined commit protocol: entry-carrying
 		// envelopes must not escape before every record journaled so far is
-		// on disk — with the inline-sync protocol the batch fsync under this
-		// lock guaranteed that; with the pipeline, recently committed
-		// batches may still be in flight. The watermark is captured under
-		// the lock the entries were read under.
-		w, rec = r.wal, r.wal.Records()
+		// on disk, and recently committed batches may still be in flight in
+		// the sync stage. The watermark is captured under the lock the
+		// entries were read under.
+		gate = r.durabilityGate()
 	}
 	r.mu.Unlock()
-	if w != nil {
-		if err := w.WaitDurable(rec); err != nil {
-			// The records behind these entries can never reach disk; the
-			// ack worker (or maintenance tick) is fail-stopping the replica.
-			// Dropping the envelopes keeps the unsyncable entries off the
-			// network — the exact leak fail-stop exists to prevent.
-			c.opts.tracer.Warnf(id, "dropped %d envelopes (durability gate): %v", len(out), err)
-			return
-		}
+	if gate.wait() != nil {
+		// The records behind these entries can never reach disk; the ack
+		// worker (or maintenance tick) is fail-stopping the replica.
+		// Dropping the envelopes keeps the unsyncable entries off the
+		// network — the exact leak fail-stop exists to prevent.
+		return
 	}
-	c.opts.tracer.Debugf(id, "handled %v (+%d out)", env, len(out))
-	c.checkWatches(id)
+	c.checkWatches(r.id)
 	r.sendAll(out)
 }
 
@@ -1142,9 +1112,6 @@ func (r *replica) session() {
 	r.mu.Lock()
 	out := r.node.StartSession(c.now(), r.rng)
 	r.mu.Unlock()
-	if len(out) > 0 {
-		c.opts.tracer.Debugf(r.node.ID(), "session with %v", out[0].To)
-	}
 	r.sendAll(out)
 }
 
@@ -1171,7 +1138,6 @@ func (r *replica) sendAllVia(ep transport.Endpoint, envs []protocol.Envelope) {
 			r.mu.Lock()
 			r.node.Table().MarkUnreachable(env.To, c.now())
 			r.mu.Unlock()
-			c.opts.tracer.Warnf(env.From, "send to %v failed: %v", env.To, err)
 		}
 	}
 }

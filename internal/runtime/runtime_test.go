@@ -9,7 +9,6 @@ import (
 	"repro/internal/demand"
 	"repro/internal/policy"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -198,22 +197,6 @@ func TestClusterSurvivesMessageLoss(t *testing.T) {
 		if !c.Covers(id, ts) {
 			t.Errorf("replica %v missing write despite anti-entropy", id)
 		}
-	}
-}
-
-func TestClusterTraceAttached(t *testing.T) {
-	ring := trace.NewRing(1024, trace.LevelDebug)
-	g := topology.Line(3)
-	c := startCluster(t, g, demand.Static{1, 2, 3}, WithTrace(ring), WithSeed(29),
-		WithSessionInterval(10*time.Millisecond))
-	if _, err := c.Write(0, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	c.WaitConverged(ctx)
-	if ring.Count() == 0 {
-		t.Error("trace ring recorded nothing")
 	}
 }
 

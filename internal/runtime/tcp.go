@@ -2,11 +2,9 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/demand"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/topology"
@@ -65,28 +63,7 @@ func NewTCP(g *topology.Graph, field demand.Field, addrHost string, opts ...Opti
 		}
 	}
 	for i := 0; i < g.N(); i++ {
-		id := NodeID(i)
-		nbrs := g.NeighborsCopy(id)
-		r := &replica{
-			cluster: c,
-			id:      id,
-			rng:     rand.New(rand.NewSource(o.seed + int64(i)*7919)),
-			ep:      endpoints[i],
-			adm:     admission{cfg: o.admission},
-		}
-		rec := c.openReplicaWAL(r, id)
-		r.node = node.New(node.Config{
-			ID:        id,
-			Neighbors: nbrs,
-			Selector:  o.policy(id, nbrs),
-			FastPush:  o.fastPush,
-			FanOut:    o.fanOut,
-			Demand:    demandSource(&o, r, field, id),
-			Observer:  nodeObserver(&o, id),
-		})
-		r.finishReplicaDurability(rec)
-		r.store.Store(r.node.Store())
-		c.replicas = append(c.replicas, r)
+		c.addReplica(NodeID(i), endpoints[i])
 	}
 	if c.initErr != nil {
 		for _, ep := range endpoints {

@@ -7,11 +7,6 @@ import (
 	"syscall"
 )
 
-// ODSync is the O_DSYNC open flag: every write returns only once the data
-// (and the metadata needed to read it back) is on stable storage, so an
-// explicit sync after a flush is nearly free. Zero on platforms without it.
-const ODSync = syscall.O_DSYNC
-
 // datasync flushes f's data — and the metadata required to read it back,
 // such as the file size — without forcing a full metadata fsync. This is
 // fdatasync(2): on a preallocated segment whose size never changes, it

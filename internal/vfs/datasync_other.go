@@ -4,10 +4,5 @@ package vfs
 
 import "os"
 
-// ODSync is the O_DSYNC open flag where the platform provides one; on this
-// platform there is no portable equivalent, so the flag is a no-op and the
-// WAL's sync stage falls back to explicit fsync calls.
-const ODSync = 0
-
 // datasync falls back to a full fsync on platforms without fdatasync.
 func datasync(f *os.File) error { return f.Sync() }

@@ -93,11 +93,6 @@ type Options struct {
 	// as the previous sync completes — back-to-back batches still coalesce
 	// behind the in-flight flush, with no added latency.
 	CoalesceWindow time.Duration
-	// ODSync opens segments with the platform's O_DSYNC flag where it
-	// exists: every write reaches stable storage synchronously, making the
-	// explicit sync at the durability point nearly free. A latency/bandwidth
-	// trade — buffered spills block on the disk — kept for measurement.
-	ODSync bool
 	// OnSync, when non-nil, observes the duration of every disk-reaching
 	// sync (explicit Sync calls and pipelined sync-stage flushes). Called
 	// with the log's internal lock held, so it must be fast (a histogram
@@ -432,11 +427,7 @@ func appendStep(rec *Recovery, payload []byte) {
 func (l *Log) openSegment() error {
 	first := l.records + 1
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", segPrefix, first, segSuffix))
-	flag := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	if l.opts.ODSync {
-		flag |= vfs.ODSync
-	}
-	f, err := l.fs.OpenFile(path, flag, 0o644)
+	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
