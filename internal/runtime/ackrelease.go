@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/protocol"
@@ -10,28 +11,28 @@ import (
 )
 
 // This file implements the third stage of the pipelined durable commit
-// protocol: ordered ack release.
+// protocol: the ordered release stage, the one place a durable replica
+// waits on its disk.
 //
-// The group-commit leader (groupcommit.go) appends and publishes a batch
-// under the replica lock, then hands the batch to this stage. The WAL's
-// background sync stage (wal.StartPipeline) retires the fsync outside the
-// lock, and the per-replica ack worker below releases client acks strictly
-// in batch order once each batch's covering sync completes
-// (wal.WaitDurable). The replica lock is free during the disk wait, so the
-// next batches append and publish while earlier ones are still syncing —
-// multiple batches in flight, one fsync shared by all of them when the
-// disk is the bottleneck. release is also the ONLY post-commit tail: a
-// leader with no worker to hand a batch to (memory replicas; durable ones
-// before Start or after Stop) calls it directly.
+// Whatever must not leave the replica before the WAL covers it is pushed
+// onto the per-replica queue below under the replica lock its gate was
+// captured under: the group-commit leader (groupcommit.go) pushes a batch's
+// waiters and fan-out, the run loop (handle) entry-carrying envelopes with
+// no batch. Neither waits — the WAL's background sync stage retires the
+// fsync (wal.StartPipeline) with the lock free and the run loop back in
+// recv — and when a sync completes the ack worker releases all it covered
+// in one pass: acks in commit order, then one merged fan-out. release is
+// the ONLY post-commit tail: a leader with no worker to hand a batch to
+// (memory replicas; durable ones before Start or after Stop) calls it.
 //
 // Invariants the stage preserves:
 //
-//   - Durable before visible, per session: no client ack and no commit
-//     fan-out escapes before the batch's covering sync completes.
-//   - Order: acks release in exactly the order batches committed; batch
+//   - Durable before visible: no client ack, no commit fan-out and no
+//     entry-carrying envelope escapes before its covering sync completes.
+//   - Order: releases leave in exactly the order they were pushed; batch
 //     N+1's acks never precede batch N's.
-//   - Fail-stop: if a covering sync fails, NO ack it covers escapes — the
-//     replica is fail-stopped first and the batch's waiters are failed.
+//   - Fail-stop: if a covering sync fails, NOTHING it covers escapes — the
+//     replica is fail-stopped first, waiters failed, envelopes dropped.
 
 // walGate is the durability gate: a replica's WAL and the index of its
 // newest record, captured under r.mu together with whatever is about to
@@ -63,11 +64,11 @@ func (g walGate) wait() error {
 	return g.wal.WaitDurable(g.rec)
 }
 
-// ackRelease is one committed batch waiting for its covering sync: the
-// parked writers to complete, the fan-out to send, and the gate that must
-// open first. It captures the endpoint of the incarnation that committed
-// it, so a concurrent restart swapping r.ep cannot redirect a stale
-// release.
+// ackRelease is one unit waiting for its covering sync: the parked writers
+// to complete (none when the run loop is holding gated envelopes), the
+// envelopes to send, and the gate that must open first. It captures the
+// endpoint of the incarnation that produced it, so a concurrent restart
+// swapping r.ep cannot redirect a stale release.
 type ackRelease struct {
 	batch []*writeReq
 	out   []protocol.Envelope
@@ -75,21 +76,29 @@ type ackRelease struct {
 	ep    transport.Endpoint
 	// start is the commit pickup time (CommitSeconds; zero unless
 	// observability or admission needs it); enq the hand-off to the ack
-	// worker (AckReleaseSeconds; zero when observability is off or the
-	// release was never queued).
-	start time.Time
-	enq   time.Time
+	// worker (AckReleaseSeconds; zero when observability is off). queued is
+	// set by push: the ack worker, not the producer, runs this release.
+	start  time.Time
+	enq    time.Time
+	queued bool
 }
 
-// ackQueue is the per-replica FIFO between the commit leader and the ack
-// worker. Releases enter in commit order (the leader is exclusive) and
-// leave in the same order. Lock ordering: r.mu may be held while taking
-// q.mu (the leader pushes under the replica lock); never the reverse.
+// maxHeldEnvelopes caps the batch-less releases one queue holds behind a
+// slow or stuck disk. Past it push drops and counts the envelopes
+// (repro_egress_dropped_total); anti-entropy re-learns what they carried.
+const maxHeldEnvelopes = 1024
+
+// ackQueue is the per-replica FIFO between the producers (commit leader,
+// run loop) and the ack worker. Releases enter under the replica lock, so
+// their gates are monotonic in queue order, and leave in the same order.
+// Lock ordering: r.mu may be held while taking q.mu; never the reverse.
 type ackQueue struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	pending []ackRelease
 	head    int
+	held    int           // batch-less releases pending (≤ maxHeldEnvelopes)
+	dropped atomic.Uint64 // batch-less releases refused at the cap
 	running bool
 	closing bool
 	done    chan struct{}
@@ -130,21 +139,29 @@ func (q *ackQueue) stop() {
 	q.mu.Unlock()
 }
 
-// push enqueues a release, reporting false when no worker will serve it
-// (not started, or stopping) — the caller must then run release itself.
+// push hands a release to the worker, reporting false when none will serve
+// it (not started, or stopping) — the caller must then wait itself. A
+// batch-less release past maxHeldEnvelopes is dropped here, not queued.
 func (q *ackQueue) push(rel ackRelease) bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if !q.running || q.closing {
-		q.mu.Unlock()
 		return false
 	}
+	if len(rel.batch) == 0 {
+		if q.held >= maxHeldEnvelopes {
+			q.dropped.Add(1)
+			return true
+		}
+		q.held++
+	}
+	rel.queued = true
 	q.pending = append(q.pending, rel)
 	q.cond.Signal()
-	q.mu.Unlock()
 	return true
 }
 
-// depth returns the number of batches awaiting their covering sync — the
+// depth returns the number of releases awaiting their covering sync — the
 // pipeline's in-flight depth (scrape-time only).
 func (q *ackQueue) depth() int {
 	q.mu.Lock()
@@ -152,23 +169,32 @@ func (q *ackQueue) depth() int {
 	return len(q.pending) - q.head
 }
 
-// take blocks for the next release in order, reporting ok=false when the
-// queue is stopping and drained.
-func (q *ackQueue) take() (ackRelease, bool) {
+// take returns the next release in order. With covered nil it blocks for
+// one, reporting ok=false when the queue is stopping and drained. Otherwise
+// it never blocks and takes the head only if that WAL's completed syncs
+// already cover it — same log (so same incarnation and endpoint), gate at
+// or below the durable watermark.
+func (q *ackQueue) take(covered *wal.Log) (ackRelease, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.pending)-q.head == 0 && !q.closing {
+	for covered == nil && len(q.pending) == q.head && !q.closing {
 		q.cond.Wait()
 	}
-	if len(q.pending)-q.head == 0 {
+	if len(q.pending) == q.head {
 		return ackRelease{}, false
 	}
 	rel := q.pending[q.head]
+	if covered != nil && (rel.gate.wal != covered || rel.gate.rec > covered.Durable()) {
+		return ackRelease{}, false
+	}
 	q.pending[q.head] = ackRelease{}
 	q.head++
 	if q.head == len(q.pending) {
 		q.pending = q.pending[:0]
 		q.head = 0
+	}
+	if len(rel.batch) == 0 {
+		q.held--
 	}
 	return rel, true
 }
@@ -179,7 +205,7 @@ func (r *replica) ackWorker() {
 	q := &r.ackq
 	defer close(q.done)
 	for {
-		rel, ok := q.take()
+		rel, ok := q.take(nil)
 		if !ok {
 			return
 		}
@@ -187,24 +213,22 @@ func (r *replica) ackWorker() {
 	}
 }
 
-// release completes one batch: wait for the covering sync, then ack,
-// observe, fire watches, and send the batch's fan-out — the one post-commit
-// tail, run off the replica lock by the ack worker or, with no worker, by
-// the commit leader.
+// release is the one post-commit tail, run off the replica lock by the ack
+// worker or, with no worker, by the commit leader: wait for the covering
+// sync, then ack and send. On the worker one sync releases all it covered
+// in a single pass — acks in commit order, then one fan-out with same-peer
+// offers merged, so a burst of small batches costs peers one offer round.
 func (r *replica) release(rel *ackRelease) {
-	c := r.cluster
-	co := c.opts.obs
-	// A queued release whose records are already durable at pickup rode an
-	// earlier batch's sync.
-	queued := !rel.enq.IsZero()
-	coalesced := queued && rel.gate.wal.Durable() >= rel.gate.rec
+	// A release whose records are already durable at pickup rode an earlier
+	// batch's sync (asked only when observability stamped it for the queue).
+	coalesced := !rel.enq.IsZero() && rel.gate.wal.Durable() >= rel.gate.rec
 	if err := rel.gate.wait(); err != nil {
-		// The covering sync failed (or the WAL died first): no ack it
+		// The covering sync failed (or the WAL died first): nothing it
 		// covers may escape. Fail-stop the replica FIRST — unless a Kill
 		// or another fail-stop already retired this incarnation, in which
 		// case the verdict is theirs — and only then fail the waiting
 		// clients, so a client that observes the error finds the replica
-		// already fully stopped.
+		// already fully stopped. The envelopes are simply dropped.
 		r.mu.Lock()
 		if r.dead || r.wal != rel.gate.wal {
 			r.mu.Unlock()
@@ -220,6 +244,30 @@ func (r *replica) release(rel *ackRelease) {
 		r.failBatch(rel.batch, err)
 		return
 	}
+	r.ack(rel, coalesced)
+	out := rel.out
+	for rel.queued {
+		next, ok := r.ackq.take(rel.gate.wal)
+		if !ok {
+			break
+		}
+		r.ack(&next, true)
+		out = append(out, next.out...)
+	}
+	if len(out) > len(rel.out) {
+		out = mergeOffers(out)
+	}
+	r.sendAllVia(rel.ep, out)
+}
+
+// ack completes a durable batch: wake its writers, observe, fire watches.
+// A release holding only envelopes has no batch and nothing to ack.
+func (r *replica) ack(rel *ackRelease, coalesced bool) {
+	if len(rel.batch) == 0 {
+		return
+	}
+	c := r.cluster
+	co := c.opts.obs
 	r.observeSojourn(co, rel.batch[0].arrival)
 	for _, req := range rel.batch {
 		req.done <- struct{}{}
@@ -229,7 +277,7 @@ func (r *replica) release(rel *ackRelease) {
 		co.WriteBatches.Inc()
 		co.BatchSize.Observe(float64(len(rel.batch)))
 		co.CommitSeconds.Observe(time.Since(rel.start).Seconds())
-		if queued {
+		if rel.queued {
 			// The ack stage's own latency and sync sharing: only releases
 			// that waited in the worker's queue have either.
 			co.AckReleaseSeconds.Observe(time.Since(rel.enq).Seconds())
@@ -240,8 +288,32 @@ func (r *replica) release(rel *ackRelease) {
 		c.goodput.RecordN(time.Now(), len(rel.batch))
 	}
 	c.checkWatches(r.id)
-	r.sendAllVia(rel.ep, rel.out)
 	r.wq.recycle(rel.batch)
+}
+
+// mergeOffers folds, in place, FastOffers bound for the same peer at the
+// same hop count into the first of them: the union of their ids (distinct
+// releases offer distinct writes) and the newest demand. Every other
+// envelope, and the relative order, is kept.
+func mergeOffers(envs []protocol.Envelope) []protocol.Envelope {
+	type dest struct{ to, hops uint64 }
+	first := make(map[dest]int)
+	out := envs[:0]
+	for _, env := range envs {
+		if m, ok := env.Msg.(protocol.FastOffer); ok {
+			k := dest{uint64(env.To), uint64(m.Hops)}
+			if i, seen := first[k]; seen {
+				// A fan-out's offers share one id slice: copy, never grow it.
+				p := out[i].Msg.(protocol.FastOffer)
+				p.IDs, p.Demand = append(p.IDs[:len(p.IDs):len(p.IDs)], m.IDs...), m.Demand
+				out[i].Msg = p
+				continue
+			}
+			first[k] = len(out)
+		}
+		out = append(out, env)
+	}
+	return out
 }
 
 // carriesEntries reports whether any envelope carries write-log entries or

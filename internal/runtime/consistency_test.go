@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"repro/internal/demand"
+	"repro/internal/protocol"
 	"repro/internal/topology"
 	"repro/internal/vclock"
+	"repro/internal/wlog"
 )
 
 func waitClusterConverged(t *testing.T, c *Cluster) {
@@ -328,6 +330,36 @@ func TestTokenCoveredProbe(t *testing.T) {
 	}
 	if c.TokenCovered(99, &tok) {
 		t.Error("out-of-range replica claims coverage")
+	}
+}
+
+// TestHandleRepublishesAppliedMarkOnlyOnAdvance: an inbound envelope that
+// absorbs nothing (advert, offer) leaves the published watermark pointer —
+// which every session token's covered-read cache pins — exactly where it
+// was and allocates nothing; one that advances coverage republishes.
+func TestHandleRepublishesAppliedMarkOnlyOnAdvance(t *testing.T) {
+	// Never started: the test is the only caller of handle.
+	c := New(topology.Ring(4), demand.Static{1, 2, 3, 4}, WithSeed(23))
+	ts, err := c.Write(0, "k", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.replicas[0]
+	mark := r.applied.snap.Load()
+	advert := protocol.Envelope{From: 1, To: 0, Msg: protocol.DemandAdvert{Demand: 9}}
+	offer := protocol.Envelope{From: 1, To: 0, Msg: protocol.FastOffer{IDs: []vclock.Timestamp{ts}}}
+	r.handle(advert)
+	r.handle(offer)
+	if got := r.applied.snap.Load(); got != mark {
+		t.Fatal("an envelope that absorbed nothing republished the applied watermark")
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.handle(advert) }); avg != 0 {
+		t.Errorf("handling a demand advert allocates %v per run, want 0", avg)
+	}
+	gain := wlog.Entry{TS: vclock.Timestamp{Node: 1, Seq: 1}, Key: "x", Value: []byte("y"), Clock: 9}
+	r.handle(protocol.Envelope{From: 1, To: 0, Msg: protocol.UpdateBatch{Entries: []wlog.Entry{gain}, Final: true}})
+	if got := r.applied.snap.Load(); got == mark || !got.Covers(gain.TS) {
+		t.Fatal("an envelope that advanced coverage did not republish the applied watermark")
 	}
 }
 

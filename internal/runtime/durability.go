@@ -28,8 +28,8 @@ import (
 //     WAL's background sync stage fsyncs it (one fsync per batch or per
 //     several, never per write) with the lock released, and acks plus
 //     fan-out release in commit order only once that sync covers them
-//     (ackrelease.go). The run loop's egress gate holds entry-carrying
-//     envelopes the same way, so no anti-entropy session can serve an
+//     (ackrelease.go). The run loop queues entry-carrying envelopes on
+//     that same release stage, so no anti-entropy session can serve an
 //     entry that could still be lost in a crash.
 //
 //   - Entries learned from peers are journaled buffered and reach disk

@@ -167,10 +167,9 @@ func (r *replica) drain(c *Cluster, n int) bool {
 // after durability is release's job (ackrelease.go), wherever it runs:
 //
 // With an ack worker running (durable replica, Start to Stop — the steady
-// state) the release is pushed to the worker BEFORE the replica lock drops,
-// so releases enter its FIFO in commit order. The fsync retires in the
-// WAL's background sync stage, the replica lock is free while the disk
-// works, and several batches are in flight at once.
+// state) the release joins the ordered release stage BEFORE the replica
+// lock drops, so releases queue in commit order; the fsync retires in the
+// WAL's sync stage with the lock free and several batches in flight.
 //
 // With no worker to hand it to (memory replicas, whose release is trivially
 // durable; durable replicas before Start or after Stop) the leader drops
@@ -181,8 +180,8 @@ func (r *replica) drain(c *Cluster, n int) bool {
 // batch's entries are in the in-memory log but can never reach disk, so
 // letting the replica keep serving would leak them to peers and set up a
 // reissued-timestamp divergence on the eventual restart. Entry-carrying
-// anti-entropy traffic cannot outrun the pipeline: the run loop's egress
-// gate (handle) holds such envelopes until the WAL watermark covers them.
+// anti-entropy traffic cannot outrun the pipeline: handle queues such
+// envelopes on the same stage, behind every batch committed before them.
 func (r *replica) commitBatch(c *Cluster, batch []*writeReq) {
 	co := c.opts.obs
 	a := &r.adm
@@ -238,8 +237,6 @@ func (r *replica) commitBatch(c *Cluster, batch []*writeReq) {
 			r.mu.Unlock()
 			return
 		}
-		// Never queued: there is no ack-release stage latency to report.
-		rel.enq = time.Time{}
 	}
 	r.mu.Unlock()
 	r.release(&rel)

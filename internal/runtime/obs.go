@@ -342,8 +342,11 @@ func (c *Cluster) registerWALObs(r *replica, lbl []obs.Label) {
 		"Syncs retired by the WAL's background sync stage this incarnation.",
 		func() float64 { st, _ := walStats(); return float64(st.PipelineSyncs) }, lbl...)
 	reg.GaugeFunc("repro_commit_inflight_batches",
-		"Committed batches whose covering sync has not yet released their acks.",
+		"Committed batches and held envelope sets whose covering sync has not yet released them.",
 		func() float64 { return float64(r.ackq.depth()) }, lbl...)
+	reg.CounterFunc("repro_egress_dropped_total",
+		"Entry-carrying envelope sets dropped because the release stage already held its cap behind a slow disk.",
+		func() float64 { return float64(r.ackq.dropped.Load()) }, lbl...)
 	reg.GaugeFunc("repro_wal_snapshot_records",
 		"Records covered by the newest on-disk snapshot.",
 		func() float64 { st, _ := walStats(); return float64(st.SnapshotRecords) }, lbl...)

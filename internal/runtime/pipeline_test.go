@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +12,12 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocol"
+	"repro/internal/transport"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
+	"repro/internal/wal"
+	"repro/internal/wlog"
 )
 
 // Tests for the pipelined durable commit protocol at the cluster level:
@@ -207,5 +213,225 @@ func TestPipelineFailStopBeforeCoveredAckEscapes(t *testing.T) {
 		if !ok || string(v) != "pipelined" {
 			t.Fatalf("acked write %s lost to the fail-stop: ok=%v v=%q", res.key, ok, v)
 		}
+	}
+}
+
+// The queued path of the release stage. In these tests replica 1's run loop
+// is stopped and the test plays replica 1 by hand on its own endpoint, so it
+// sees exactly what replica 0 sends, and when, without a second state
+// machine answering underneath it.
+
+// heldPeer is the test standing in for replica 1 while replica 0 commits a
+// write behind a slow (or dying) sync.
+type heldPeer struct {
+	t    *testing.T
+	c    *Cluster
+	ffs  *vfs.FaultFS
+	reg  *obs.Registry
+	ep   transport.Endpoint
+	wal  *wal.Log   // replica 0's WAL, this incarnation
+	need uint64     // the record that must be durable before "held" may leave
+	done chan error // the held write's verdict
+}
+
+const heldStall = 150 * time.Millisecond
+
+// startHeld starts a 2-replica durable cluster, takes over replica 1, and
+// parks the write "held" at replica 0 behind a heldStall sync (which fails
+// when failSync is set). It then asks replica 0, as a session partner, for
+// everything it has: the reply carries "held", so the egress gate holds it.
+// It returns once that reply sits in the release stage's queue.
+func startHeld(t *testing.T, failSync bool) *heldPeer {
+	t.Helper()
+	ffs := vfs.NewFaultFS(vfs.OS, 23)
+	reg := obs.NewRegistry()
+	// Hour-long timers: replica 0 says only what the test asks it to.
+	c := durableCluster(t, 2, t.TempDir(), WithDurabilityFS(ffs), WithObs(obs.NewClusterObs(reg, 2)),
+		WithSessionInterval(time.Hour), WithAdvertInterval(time.Hour))
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	if err := c.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	p := &heldPeer{t: t, c: c, ffs: ffs, reg: reg, ep: c.net.Attach(1), done: make(chan error, 1)}
+	if _, err := c.Write(0, "warm", []byte("up")); err != nil {
+		t.Fatal(err)
+	}
+	r := c.replicas[0]
+	r.mu.Lock()
+	p.wal = r.wal
+	r.mu.Unlock()
+	ffs.SetSyncDelay(replicaScope(0), heldStall, 0, 0)
+	if failSync {
+		ffs.FailSyncs(replicaScope(0))
+	}
+	before := p.wal.Records()
+	go func() {
+		_, err := c.Write(0, "held", []byte("not yet durable"))
+		p.done <- err
+	}()
+	p.until("the held write to be journaled", func() bool { return p.wal.Records() > before })
+	p.need = p.wal.Records()
+	p.send(protocol.SummaryMsg{SessionID: 1 << 40, Summary: vclock.NewSummary()})
+	p.until("the gated reply to queue behind the batch the worker is waiting on", func() bool { return r.ackq.depth() >= 1 })
+	return p
+}
+
+func (p *heldPeer) until(what string, cond func() bool) {
+	p.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			p.t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func (p *heldPeer) send(m protocol.Message) {
+	p.t.Helper()
+	if err := p.ep.Send(protocol.Envelope{From: 1, To: 0, Msg: m}); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// carriesHeld reports whether env carries the held write's entry.
+func carriesHeld(env protocol.Envelope) bool {
+	var entries []wlog.Entry
+	switch m := env.Msg.(type) {
+	case protocol.UpdateBatch:
+		entries = m.Entries
+	case protocol.FastPayload:
+		entries = m.Entries
+	case protocol.Snapshot:
+		for _, it := range m.Items {
+			if it.Key == "held" {
+				return true
+			}
+		}
+	}
+	for _, e := range entries {
+		if e.Key == "held" {
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the next envelope replica 0 sends that want accepts, failing
+// the test on a leak: the held entry observed before its record is durable.
+func (p *heldPeer) next(within time.Duration, want func(protocol.Envelope) bool) (protocol.Envelope, bool) {
+	p.t.Helper()
+	timeout := time.After(within)
+	for {
+		select {
+		case env := <-p.ep.Recv():
+			if carriesHeld(env) && p.wal.Durable() < p.need {
+				p.t.Fatalf("leak: %v carries the held entry with durable=%d < record %d", env, p.wal.Durable(), p.need)
+			}
+			if want(env) {
+				return env, true
+			}
+		case <-timeout:
+			return protocol.Envelope{}, false
+		}
+	}
+}
+
+// TestReleaseStageKeepsRunLoopResponsive: with an entry-carrying reply held
+// behind a slow sync, replica 0 still answers a session request and a fast
+// offer at once — before the disk covers the held record, so the run loop
+// cannot have waited for it — and the held reply leaves only afterwards.
+func TestReleaseStageKeepsRunLoopResponsive(t *testing.T) {
+	p := startHeld(t, false)
+	p.send(protocol.SessionRequest{SessionID: 2 << 40})
+	p.send(protocol.FastOffer{IDs: []vclock.Timestamp{{Node: 1, Seq: 999}}})
+	var sawSummary, sawReply bool
+	for !sawSummary || !sawReply {
+		env, ok := p.next(5*time.Second, func(env protocol.Envelope) bool {
+			switch env.Msg.(type) {
+			case protocol.SummaryMsg, protocol.FastReply:
+				return true
+			}
+			return carriesHeld(env)
+		})
+		if !ok {
+			t.Fatal("replica 0 never answered while a gated reply was pending")
+		}
+		if carriesHeld(env) {
+			t.Fatal("the gated reply overtook requests handled after it: the run loop waited on the disk")
+		}
+		if d := p.wal.Durable(); d >= p.need {
+			t.Fatalf("answer arrived only after the held record was durable (%d >= %d): the run loop waited on the disk", d, p.need)
+		}
+		_, isSummary := env.Msg.(protocol.SummaryMsg)
+		sawSummary = sawSummary || isSummary
+		sawReply = sawReply || !isSummary
+	}
+	if _, ok := p.next(5*time.Second, carriesHeld); !ok {
+		t.Fatal("the held reply never left after its covering sync")
+	}
+	if err := <-p.done; err != nil {
+		t.Fatalf("held write failed: %v", err)
+	}
+}
+
+// TestReleaseStageDropsQueuedEnvelopesOnKill: a Kill with envelopes queued
+// drops them (the abandoned WAL never covers their record), and a release
+// that still names the dead incarnation's WAL and endpoint after
+// RestartFromDisk neither sends nor fail-stops the new incarnation.
+func TestReleaseStageDropsQueuedEnvelopesOnKill(t *testing.T) {
+	p := startHeld(t, false)
+	r := p.c.replicas[0]
+	r.mu.Lock()
+	oldEp := r.ep
+	r.mu.Unlock()
+	if err := p.c.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-p.done; err == nil {
+		t.Fatal("held write acked although its replica was killed before the covering sync")
+	}
+	p.until("the release stage to drain", func() bool { return r.ackq.depth() == 0 })
+	p.ffs.Cut(replicaScope(0))
+	p.ffs.Heal(replicaScope(0))
+	if err := p.c.RestartFromDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	stale := ackRelease{
+		out:    []protocol.Envelope{{From: 0, To: 1, Msg: protocol.UpdateBatch{Entries: []wlog.Entry{{Key: "held"}}}}},
+		gate:   walGate{wal: p.wal, rec: p.need},
+		ep:     oldEp,
+		queued: true,
+	}
+	r.release(&stale)
+	if !p.c.Alive(0) || p.reg.Total("repro_replica_failstop_total") != 0 {
+		t.Fatal("a stale release fail-stopped the restarted incarnation")
+	}
+	if env, ok := p.next(heldStall, carriesHeld); ok {
+		t.Fatalf("%v escaped a killed incarnation", env)
+	}
+}
+
+// TestReleaseStageDropsQueuedEnvelopesOnSyncError: when the covering sync
+// fails, the queued envelopes are dropped and the replica is fail-stopped —
+// the same verdict the commit batch ahead of them gets.
+func TestReleaseStageDropsQueuedEnvelopesOnSyncError(t *testing.T) {
+	p := startHeld(t, true)
+	var fse *FailStopError
+	if err := <-p.done; !errors.As(err, &fse) {
+		t.Fatalf("held write returned %v, want a *FailStopError", err)
+	}
+	if _, _, err := p.c.Read(0, "warm"); err == nil {
+		t.Fatal("replica 0 still serves after its covering sync failed")
+	}
+	p.until("the release stage to drain", func() bool { return p.c.replicas[0].ackq.depth() == 0 })
+	if got := p.reg.Total("repro_replica_failstop_total"); got != 1 {
+		t.Fatalf("repro_replica_failstop_total = %v, want exactly 1", got)
+	}
+	if env, ok := p.next(50*time.Millisecond, carriesHeld); ok {
+		t.Fatalf("%v escaped although its covering sync failed", env)
 	}
 }

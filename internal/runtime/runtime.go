@@ -975,10 +975,10 @@ type replica struct {
 	wq         writeQueue
 	opsScratch []node.WriteOp
 
-	// ackq is the pipelined commit protocol's ordered ack-release stage
-	// (durable clusters only; see ackrelease.go). Its worker runs from
-	// Start to Stop; outside that window the commit leader releases its
-	// own batches.
+	// ackq is the pipelined commit protocol's ordered release stage for
+	// acks, fan-out and gated envelopes (durable clusters only; see
+	// ackrelease.go). Its worker runs from Start to Stop; outside that
+	// window the commit leader releases its own batches.
 	ackq ackQueue
 
 	// Lifecycle, guarded by mu: cancel/done belong to the current
@@ -1075,35 +1075,43 @@ func (r *replica) expInterval() time.Duration {
 	return d
 }
 
-// handle processes one inbound envelope per replica-lock acquisition. (A
-// burst-draining variant that handled many queued envelopes under one lock
-// was measured and rejected: it grows the run loop's lock hold time, which
-// directly starves the group-commit leader contending for the same lock.)
+// handle processes one inbound envelope per replica-lock acquisition and
+// never waits on the disk. (A burst-draining variant that handled many
+// queued envelopes under one lock was measured and rejected: it grows the
+// run loop's lock hold time, which directly starves the group-commit leader
+// contending for the same lock.)
 func (r *replica) handle(env protocol.Envelope) {
 	c := r.cluster
 	r.mu.Lock()
+	before := r.node.SummaryTotal()
 	out := r.node.HandleMessage(c.now(), env)
-	// Every store apply the message triggered has completed; advance the
-	// applied watermark before the lock drops so leveled reads can trust it.
-	r.applied.publish(r.node.Log())
+	// Offers, replies, adverts and session requests absorb nothing: only a
+	// message that advanced coverage pays for a new applied watermark (a
+	// clone, and every session token's cache) and the watch pass — with the
+	// store applies done, before the lock drops, so leveled reads trust it.
+	advanced := r.node.SummaryTotal() != before
+	if advanced {
+		r.applied.publish(r.node.Log())
+	}
 	var gate walGate
+	held := false
 	if r.wal != nil && carriesEntries(out) {
 		// Egress gate of the pipelined commit protocol: entry-carrying
 		// envelopes must not escape before every record journaled so far is
-		// on disk, and recently committed batches may still be in flight in
-		// the sync stage. The watermark is captured under the lock the
-		// entries were read under.
+		// on disk. The watermark is captured, and the envelopes join the
+		// ordered release stage, under the lock the entries were read under.
 		gate = r.durabilityGate()
+		held = r.ackq.push(ackRelease{out: out, gate: gate, ep: r.ep})
 	}
 	r.mu.Unlock()
-	if gate.wait() != nil {
-		// The records behind these entries can never reach disk; the ack
-		// worker (or maintenance tick) is fail-stopping the replica.
-		// Dropping the envelopes keeps the unsyncable entries off the
-		// network — the exact leak fail-stop exists to prevent.
+	if advanced {
+		c.checkWatches(r.id)
+	}
+	// With no worker to hold them (push refused) the loop waits itself; a
+	// failed gate keeps entries that can never reach disk off the network.
+	if held || gate.wait() != nil {
 		return
 	}
-	c.checkWatches(r.id)
 	r.sendAll(out)
 }
 

@@ -350,6 +350,12 @@ func (f *faultFile) syncThrough(sink func(File) error) error {
 		f.fs.mu.Unlock()
 		return ErrPowerCut
 	}
+	// A sync covers what was written before it was issued: bytes that land
+	// while it sleeps (concurrent appends) stay exposed to Cut.
+	var covered int64
+	if tr := f.fs.tracks[f.path]; tr != nil {
+		covered = tr.size
+	}
 	var delay time.Duration
 	var serr error
 	for _, st := range f.fs.matching(f.path) {
@@ -381,7 +387,8 @@ func (f *faultFile) syncThrough(sink func(File) error) error {
 	}
 	f.fs.mu.Lock()
 	if tr := f.fs.tracks[f.path]; tr != nil {
-		tr.synced = tr.size
+		// min: a truncate may have shrunk the file under the sync.
+		tr.synced = max(tr.synced, min(covered, tr.size))
 	}
 	f.fs.mu.Unlock()
 	return nil

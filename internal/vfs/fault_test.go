@@ -269,6 +269,50 @@ func TestCutDropsOnlyUnsyncedSuffix(t *testing.T) {
 	}
 }
 
+// TestSyncCoversOnlyBytesWrittenBeforeIssue pins fsync fidelity: bytes that
+// land while a slow sync is in flight were not covered by it, so a power
+// cut may still drop them — exactly what a real fsync guarantees.
+func TestSyncCoversOnlyBytesWrittenBeforeIssue(t *testing.T) {
+	// Every seed: Cut keeps a random share of the unsynced tail, so one
+	// seed could let B survive by luck; none may ever count it as synced.
+	var lost int64
+	for seed := int64(1); seed <= 8; seed++ {
+		ffs := NewFaultFS(OS, seed)
+		name := filepath.Join(t.TempDir(), "seg.wal")
+		f := openForWrite(t, ffs, name)
+		mustWrite(t, f, []byte("AAAAAAAA"))
+		ffs.SetSyncDelay("", 30*time.Millisecond, 0, 0)
+		syncDone := make(chan error, 1)
+		go func() { syncDone <- f.Sync() }()
+		// Wait for the sync to be issued (it bumps the scope's counter
+		// before it sleeps), then write B underneath it.
+		for issued := false; !issued; time.Sleep(100 * time.Microsecond) {
+			ffs.mu.Lock()
+			issued = ffs.scopes[""].syncsSeen > 0
+			ffs.mu.Unlock()
+		}
+		mustWrite(t, f, []byte("BBBBBBBB"))
+		if err := <-syncDone; err != nil {
+			t.Fatal(err)
+		}
+		if un := ffs.Unsynced(""); un != 8 {
+			t.Fatalf("seed %d: Unsynced=%d after the sync, want 8 (B was written after the sync was issued)", seed, un)
+		}
+		_, dropped := ffs.Cut("")
+		lost += dropped
+		got, err := ffs.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(got)) != 16-dropped || string(got[:8]) != "AAAAAAAA" {
+			t.Fatalf("seed %d: after cut %q (dropped %d): the bytes the sync covered must survive", seed, got, dropped)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no cut ever dropped a byte of B: the in-flight sync was treated as covering it")
+	}
+}
+
 func TestCutIsDeterministicPerSeed(t *testing.T) {
 	sizes := make([]int64, 2)
 	for i := range sizes {
