@@ -321,7 +321,7 @@ func benchShardedThroughput(b *testing.B, nShards int) {
 
 	cfg := workload.Config{Workers: 8, Ops: b.N, ReadFraction: 0.9, Keys: 1024, Seed: 31}
 	b.ResetTimer()
-	res := workload.Run(context.Background(), cfg, shard.Target{Router: router})
+	res := workload.Run(context.Background(), cfg, func() workload.Client { return router.NewSession() })
 	b.StopTimer()
 	if res.Errors > 0 {
 		b.Fatalf("%d ops failed", res.Errors)

@@ -26,6 +26,8 @@ import (
 
 	"repro/internal/demand"
 	"repro/internal/runtime"
+	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -202,25 +204,36 @@ func BenchmarkDurableGroupCommit(b *testing.B) {
 	}
 }
 
-// clusterTarget adapts a single live cluster to the workload driver,
-// spreading ops across replicas round-robin (the "nearest replica" of the
-// paper, with clients evenly distributed).
+// clusterTarget adapts a single live cluster to the workload driver: every
+// worker opens its own session, and all of them spread their ops across
+// replicas round-robin (the "nearest replica" of the paper, with clients
+// evenly distributed).
 type clusterTarget struct {
 	cluster *runtime.Cluster
 	next    atomic.Int64
 }
 
-func (t *clusterTarget) pick() runtime.NodeID {
-	return runtime.NodeID(t.next.Add(1)) % runtime.NodeID(t.cluster.N())
+func (t *clusterTarget) open() workload.Client {
+	return &clusterClient{t: t, sess: t.cluster.NewSession()}
 }
 
-func (t *clusterTarget) Write(key string, value []byte) error {
-	_, err := t.cluster.Write(t.pick(), key, value)
-	return err
+type clusterClient struct {
+	t    *clusterTarget
+	sess *runtime.Session
 }
 
-func (t *clusterTarget) Read(key string) ([]byte, bool, error) {
-	return t.cluster.Read(t.pick(), key)
+func (c *clusterClient) pick() runtime.NodeID {
+	return runtime.NodeID(c.t.next.Add(1)) % runtime.NodeID(c.t.cluster.N())
+}
+
+func (c *clusterClient) Write(key string, value []byte) (shard.Receipt, error) {
+	id := c.pick()
+	rec, err := c.sess.Write(id, key, value)
+	return shard.Receipt{Node: id, TS: rec.TS, Clock: rec.Clock}, err
+}
+
+func (c *clusterClient) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
+	return c.sess.ReadLevel(c.pick(), key, lvl)
 }
 
 // BenchmarkTCPClientPlane drives the standard closed-loop client mix (8
@@ -245,7 +258,7 @@ func BenchmarkTCPClientPlane(b *testing.B) {
 	target := &clusterTarget{cluster: cluster}
 	cfg := workload.Config{Workers: 8, Ops: b.N, ReadFraction: 0.9, Keys: 1024, Seed: 53}
 	b.ResetTimer()
-	res := workload.Run(context.Background(), cfg, target)
+	res := workload.Run(context.Background(), cfg, target.open)
 	b.StopTimer()
 	if res.Errors > 0 {
 		b.Fatalf("%d ops failed", res.Errors)
@@ -279,7 +292,7 @@ func BenchmarkGoodputUnderOverload(b *testing.B) {
 	probe := workload.Run(context.Background(), workload.Config{
 		Workers: 64, Ops: 8000, ReadFraction: 0, Keys: 1024, Seed: 59,
 		RetryBudget: 3,
-	}, target)
+	}, target.open)
 	saturation := float64(probe.Writes) / probe.Elapsed.Seconds()
 	if saturation <= 0 {
 		b.Fatal("saturation probe measured zero write capacity")
@@ -290,7 +303,7 @@ func BenchmarkGoodputUnderOverload(b *testing.B) {
 	res := workload.Run(context.Background(), workload.Config{
 		Workers: 64, Ops: b.N, ReadFraction: 0, Keys: 1024, Seed: 61,
 		OpenLoop: true, ArrivalRate: 2 * saturation, RetryBudget: 1,
-	}, target)
+	}, target.open)
 	b.StopTimer()
 	goodput := float64(res.Writes) / res.Elapsed.Seconds()
 	b.ReportMetric(goodput, "ops/sec")

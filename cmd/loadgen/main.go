@@ -200,13 +200,18 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "load: %d ops, %d workers, %.0f%% reads, %d keys (%v)\n\n",
 			cfg.Ops, cfg.Workers, cfg.ReadFraction*100, cfg.Keys, keyDist)
 	}
-	var target workload.Target = shard.Target{Router: router}
 	if leveled {
 		fmt.Fprintf(w, "consistency mix: %.0f%% session / %.0f%% bounded (max lag %d) / %.0f%% strong reads, remainder eventual\n\n",
 			*sessReads*100, *boundReads*100, *maxLag, *strongReads*100)
-		target = sessionTarget{router: router, maxLag: *maxLag, deadline: *freshWait}
 	}
-	res := runLoad(ctx, w, cfg, target, prog, reg, *report)
+	// Each worker drives its own router session, with the bounded staleness
+	// and freshness deadline taken from the flags.
+	open := func() workload.Client {
+		s := router.NewSession()
+		s.MaxLag, s.Deadline = *maxLag, *freshWait
+		return s
+	}
+	res := runLoad(ctx, w, cfg, open, prog, reg, *report)
 
 	tab := metrics.NewTable("metric", "value")
 	tab.AddRow("ops completed", res.Ops)
@@ -223,13 +228,13 @@ func run(args []string, w io.Writer) error {
 		// Per-level percentiles: a session read that waits for coverage and
 		// an eventual read that serves immediately are different operations;
 		// lumping them smears the mix's latency story.
-		for lvl := 0; lvl < workload.NumLevels; lvl++ {
-			s := res.ReadLatencyAt(workload.Level(lvl))
+		for lvl := runtime.Level(0); int(lvl) < runtime.NumLevels; lvl++ {
+			s := res.ReadLatencyAt(lvl)
 			if s.N() == 0 {
 				continue
 			}
-			tab.AddRow(fmt.Sprintf("  %s p50 (ms)", workload.Level(lvl)), s.Median())
-			tab.AddRow(fmt.Sprintf("  %s p99 (ms)", workload.Level(lvl)), s.Percentile(99))
+			tab.AddRow(fmt.Sprintf("  %s p50 (ms)", lvl), s.Median())
+			tab.AddRow(fmt.Sprintf("  %s p99 (ms)", lvl), s.Percentile(99))
 		}
 	}
 	tab.AddRow("write p50 (ms)", res.WriteLatency.Median())
@@ -262,12 +267,12 @@ func run(args []string, w io.Writer) error {
 // runLoad drives the workload, printing a one-line summary every interval
 // when interval > 0: ops completed in the interval, the interval rate, and
 // the cumulative propagation-lag quantiles from the registry.
-func runLoad(ctx context.Context, w io.Writer, cfg workload.Config, target workload.Target, prog *workload.Progress, reg *obs.Registry, interval time.Duration) workload.Result {
+func runLoad(ctx context.Context, w io.Writer, cfg workload.Config, open func() workload.Client, prog *workload.Progress, reg *obs.Registry, interval time.Duration) workload.Result {
 	if interval <= 0 {
-		return workload.Run(ctx, cfg, target)
+		return workload.Run(ctx, cfg, open)
 	}
 	done := make(chan workload.Result, 1)
-	go func() { done <- workload.Run(ctx, cfg, target) }()
+	go func() { done <- workload.Run(ctx, cfg, open) }()
 
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -294,50 +299,6 @@ func runLoad(ctx context.Context, w io.Writer, cfg workload.Config, target workl
 			lastOps, lastT = ops, now
 		}
 	}
-}
-
-// sessionTarget adapts the router as a workload.SessionTarget: each worker
-// asking for leveled reads drives its own router session, with the bounded
-// staleness and freshness deadline taken from the flags.
-type sessionTarget struct {
-	router   *shard.Router
-	maxLag   uint64
-	deadline time.Duration
-}
-
-func (t sessionTarget) Write(key string, value []byte) error {
-	_, err := t.router.Write(key, value)
-	return err
-}
-
-func (t sessionTarget) Read(key string) ([]byte, bool, error) { return t.router.Read(key) }
-
-func (t sessionTarget) NewSession() workload.Session {
-	s := t.router.NewSession()
-	s.MaxLag = t.maxLag
-	s.Deadline = t.deadline
-	return routerSession{s: s}
-}
-
-// routerSession maps the workload's consistency levels onto the runtime's.
-type routerSession struct{ s *shard.Session }
-
-func (rs routerSession) Write(key string, value []byte) error {
-	_, err := rs.s.Write(key, value)
-	return err
-}
-
-func (rs routerSession) Read(key string, lvl workload.Level) ([]byte, bool, error) {
-	rl := runtime.LevelEventual
-	switch lvl {
-	case workload.LevelSession:
-		rl = runtime.LevelSession
-	case workload.LevelBounded:
-		rl = runtime.LevelBounded
-	case workload.LevelStrong:
-		rl = runtime.LevelStrong
-	}
-	return rs.s.ReadLevel(key, rl)
 }
 
 // propLag merges the propagation-lag histograms of every shard into one

@@ -62,14 +62,21 @@
 // replication machinery, so client throughput scales with cores instead of
 // serialising on per-replica locks:
 //
-//   - Reads are lock-free with respect to the replica: Cluster.Read loads
+//   - There is one read body and one write body. Cluster.Read and
+//     Cluster.ReadLeveled (sessions and the shard router pass a
+//     consistency level and a token) are the two faces of the first;
+//     Cluster.WriteToken is the second, Cluster.Write its plain form.
+//     Every refusal — admission shed, freshness deadline, stopped replica
+//     — is a *runtime.Rejection.
+//
+//   - Reads are lock-free with respect to the replica: the read body loads
 //     an atomically published store pointer (nil while the replica is
 //     dead), records the demand meter via CAS on packed float bits, and
 //     reads the store — which is hash-striped into independently locked
 //     segments with per-segment read counters — without ever touching the
 //     replica mutex.
 //
-//   - Writes group-commit: concurrent Cluster.Write calls park in a
+//   - Writes group-commit: concurrent client writes park in a
 //     per-replica write-combining queue; the first writer becomes the
 //     commit leader and folds the whole batch into the node under ONE
 //     replica-lock acquisition (node.ClientWriteBatch → wlog.AppendBatch,
@@ -102,9 +109,10 @@
 //     it off the lock, and acks and entry-carrying protocol traffic are
 //     held until that sync covers them.
 //
-//   - Peer-learned entries ride the WAL buffer and sync with the next
-//     batch or the periodic maintenance tick; losing that tail in a crash
-//     is safe (anti-entropy re-fetches it).
+//   - Peer-learned entries ride the WAL buffer and reach disk with the
+//     sync stage's next fsync (every record wakes it; nothing syncs on the
+//     replica's run loop); losing that tail in a crash is safe
+//     (anti-entropy re-fetches it).
 //
 //   - Snapshots roll on a byte watermark and compact sealed segments;
 //     the persisted snapshot also pins the in-memory log's truncation

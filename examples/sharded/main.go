@@ -42,11 +42,11 @@ func main() {
 	fmt.Printf("router: %d shards, %d replicas total, over %v\n\n",
 		len(router.Shards()), router.N(), graph)
 
-	// 2. Closed-loop load through the router; each op lands on its key's
-	//    owning shard at the lowest-demand replica.
+	// 2. Closed-loop load through the router, one session per worker; each
+	//    op lands on its key's owning shard at the lowest-demand replica.
 	res := workload.Run(context.Background(), workload.Config{
 		Workers: 8, Ops: 20000, ReadFraction: 0.8, Keys: 512, Seed: 42,
-	}, shard.Target{Router: router})
+	}, func() workload.Client { return router.NewSession() })
 	fmt.Printf("load: %d ops at %.0f ops/sec (read p99 %.3fms, write p99 %.3fms)\n\n",
 		res.Ops, res.OpsPerSec(), res.ReadLatency.Percentile(99), res.WriteLatency.Percentile(99))
 

@@ -35,7 +35,7 @@ func TestShardedScenario(t *testing.T) {
 
 	res := workload.Run(context.Background(), workload.Config{
 		Workers: 4, Ops: 2000, ReadFraction: 0.5, Keys: 128, Seed: 42,
-	}, shard.Target{Router: router})
+	}, func() workload.Client { return router.NewSession() })
 	if res.Errors > 0 {
 		t.Fatalf("%d load ops failed", res.Errors)
 	}

@@ -9,6 +9,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runtime"
+	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 func TestNamedScenariosValidate(t *testing.T) {
@@ -111,23 +115,28 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// fakeSys acknowledges every op at a fixed location.
+// fakeSys is a system under test whose one client acknowledges every write
+// at a fixed location.
 type fakeSys struct {
 	mu   sync.Mutex
 	loc  ackLoc
 	fail bool
 }
 
-func (f *fakeSys) write(string, []byte) (ackLoc, error) {
+func (f *fakeSys) open() workload.Client { return f }
+
+func (f *fakeSys) Write(string, []byte) (shard.Receipt, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return ackLoc{}, errors.New("down")
+		return shard.Receipt{}, errors.New("down")
 	}
-	return f.loc, nil
+	return shard.Receipt{Shard: f.loc.shard, Node: f.loc.node}, nil
 }
 
-func (f *fakeSys) read(string) ([]byte, bool, error) { return nil, false, nil }
+func (f *fakeSys) ReadVersioned(string, runtime.Level) (store.Versioned, bool, error) {
+	return store.Versioned{}, false, nil
+}
 
 func (f *fakeSys) setLoc(loc ackLoc) {
 	f.mu.Lock()
@@ -137,31 +146,32 @@ func (f *fakeSys) setLoc(loc ackLoc) {
 
 func TestTrackerDurabilityClassification(t *testing.T) {
 	sys := &fakeSys{loc: ackLoc{node: 0}}
-	tr := newTracker(sys)
+	tr := newTracker(sys.open)
+	cl := tr.client()
 
 	// k1 acked at n0 and sealed at a converged quiesce: loss is a bug.
-	if err := tr.Write("k1", []byte("a")); err != nil {
+	if _, err := cl.Write("k1", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	tr.seal(nil)
 
 	// k2 acked at n1, which then lost state: at-risk, presence optional.
 	sys.setLoc(ackLoc{node: 1})
-	if err := tr.Write("k2", []byte("b")); err != nil {
+	if _, err := cl.Write("k2", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	tr.markLost(ackLoc{node: 1})
 
 	// k3 acked during a reshard window: at-risk.
 	tr.beginReshard()
-	if err := tr.Write("k3", []byte("c")); err != nil {
+	if _, err := cl.Write("k3", []byte("c")); err != nil {
 		t.Fatal(err)
 	}
 	tr.endReshard()
 
 	// k4 acked at a live replica, unsealed: still required (no state loss).
 	sys.setLoc(ackLoc{node: 2})
-	if err := tr.Write("k4", []byte("d")); err != nil {
+	if _, err := cl.Write("k4", []byte("d")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,8 +207,9 @@ func TestTrackerDurabilityClassification(t *testing.T) {
 
 func TestTrackerSealSkipsDeadAckers(t *testing.T) {
 	sys := &fakeSys{loc: ackLoc{node: 3}}
-	tr := newTracker(sys)
-	if err := tr.Write("k", []byte("v")); err != nil {
+	tr := newTracker(sys.open)
+	cl := tr.client()
+	if _, err := cl.Write("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// n3 is dead at the quiesce: convergence among the living says nothing
@@ -210,8 +221,8 @@ func TestTrackerSealSkipsDeadAckers(t *testing.T) {
 		t.Errorf("write sealed despite dead acker: %+v", d)
 	}
 	// ...whereas with the acker alive it seals.
-	tr2 := newTracker(sys)
-	if err := tr2.Write("k", []byte("v")); err != nil {
+	tr2 := newTracker(sys.open)
+	if _, err := tr2.client().Write("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	tr2.seal(nil)
@@ -223,11 +234,12 @@ func TestTrackerSealSkipsDeadAckers(t *testing.T) {
 
 func TestTrackerPauseDrainsAndBlocks(t *testing.T) {
 	sys := &fakeSys{}
-	tr := newTracker(sys)
+	tr := newTracker(sys.open)
+	cl := tr.client()
 	tr.Pause()
 	done := make(chan struct{})
 	go func() {
-		tr.Write("k", []byte("v"))
+		cl.Write("k", []byte("v"))
 		close(done)
 	}()
 	select {

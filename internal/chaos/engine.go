@@ -15,8 +15,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -93,70 +93,6 @@ func (r *Report) Observations() string {
 	return b.String()
 }
 
-// verKey is a store version for monotonicity comparison.
-type verKey struct {
-	clock uint64
-	ts    vclock.Timestamp
-}
-
-// regressedFrom reports whether cur is older than prev under LWW order.
-func (cur verKey) regressedFrom(prev verKey) bool {
-	if cur.clock != prev.clock {
-		return cur.clock < prev.clock
-	}
-	return cur.ts.Compare(prev.ts) < 0
-}
-
-// clusterSys serves the single-cluster workload, spreading ops round-robin
-// over replicas and retrying on a different replica when one is down — the
-// client-side failover a real deployment would have.
-type clusterSys struct {
-	c    *runtime.Cluster
-	n    int
-	next atomic.Uint64
-}
-
-func (s *clusterSys) write(key string, value []byte) (ackLoc, error) {
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		id := NodeID(s.next.Add(1) % uint64(s.n))
-		if _, werr := s.c.Write(id, key, value); werr == nil {
-			return ackLoc{node: id}, nil
-		} else {
-			err = werr
-		}
-	}
-	return ackLoc{}, err
-}
-
-func (s *clusterSys) read(key string) ([]byte, bool, error) {
-	var (
-		err error
-		v   []byte
-		ok  bool
-	)
-	for attempt := 0; attempt < 3; attempt++ {
-		id := NodeID(s.next.Add(1) % uint64(s.n))
-		if v, ok, err = s.c.Read(id, key); err == nil {
-			return v, ok, nil
-		}
-	}
-	return nil, false, err
-}
-
-// routerSys serves the sharded workload through the router.
-type routerSys struct{ r *shard.Router }
-
-func (s routerSys) write(key string, value []byte) (ackLoc, error) {
-	rc, err := s.r.Write(key, value)
-	if err != nil {
-		return ackLoc{}, err
-	}
-	return ackLoc{shard: rc.Shard, node: rc.Node}, nil
-}
-
-func (s routerSys) read(key string) ([]byte, bool, error) { return s.r.Read(key) }
-
 // engine executes one scenario. Events run on a single goroutine; only the
 // tracker and the system under test are shared with workload goroutines.
 type engine struct {
@@ -184,7 +120,7 @@ type engine struct {
 	ownDataDir bool
 
 	dead     map[ackLoc]bool
-	prevVers map[ackLoc]map[string]verKey
+	prevVers map[ackLoc]map[string]store.Versioned
 
 	// probeWrites counts successful probe writes, which go straight to the
 	// cluster and bypass the tracker — the metrics-consistency check needs
@@ -228,7 +164,7 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		sc:       sc,
 		rep:      &Report{Scenario: sc},
 		dead:     make(map[ackLoc]bool),
-		prevVers: make(map[ackLoc]map[string]verKey),
+		prevVers: make(map[ackLoc]map[string]store.Versioned),
 	}
 	return e.run(ctx)
 }
@@ -324,7 +260,12 @@ func (e *engine) buildCluster(ctx context.Context, rng *rand.Rand) error {
 	if err := e.cluster.Start(ctx); err != nil {
 		return err
 	}
-	e.tracker = newTracker(&clusterSys{c: e.cluster, n: n})
+	next := new(atomic.Uint64)
+	e.tracker = newTracker(func() workload.Client {
+		sess := e.cluster.NewSession()
+		sess.Deadline = sessionFreshDeadline
+		return &clusterClient{sess: sess, next: next, n: n}
+	})
 	if e.sc.Sessions {
 		e.tracker.oracle = newSessionOracle()
 	}
@@ -358,7 +299,11 @@ func (e *engine) buildRouter(ctx context.Context, rng *rand.Rand) error {
 		return err
 	}
 	e.router = r
-	e.tracker = newTracker(routerSys{r: r})
+	e.tracker = newTracker(func() workload.Client {
+		sess := r.NewSession()
+		sess.Deadline = sessionFreshDeadline
+		return sess
+	})
 	if e.sc.Sessions {
 		e.tracker.oracle = newSessionOracle()
 	}
@@ -388,7 +333,7 @@ func (e *engine) loadLoop(ctx context.Context, done chan struct{}) {
 		if e.bursting.Load() && e.sc.Burst != nil {
 			cfg = *e.sc.Burst
 		}
-		res := workload.Run(roundCtx, cfg, e.tracker)
+		res := workload.Run(roundCtx, cfg, e.tracker.client)
 		cancel()
 		e.loadOps += res.Ops
 		e.loadErrs += res.Errors
@@ -884,15 +829,15 @@ func (e *engine) monotoneCheck() int {
 			if err != nil {
 				continue
 			}
-			cur := make(map[string]verKey, len(items))
+			cur := make(map[string]store.Versioned, len(items))
 			for _, it := range items {
-				cur[it.Key] = verKey{clock: it.Clock, ts: it.TS}
+				cur[it.Key] = store.Versioned{TS: it.TS, Clock: it.Clock}
 			}
 			loc := ackLoc{shard: shardName, node: id}
 			if prev, ok := e.prevVers[loc]; ok {
 				for key, pv := range prev {
 					cv, present := cur[key]
-					if !present || cv.regressedFrom(pv) {
+					if !present || cv.Older(pv) {
 						violations++
 					}
 				}

@@ -3,16 +3,19 @@ package chaos
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/runtime"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// This file is the session-guarantee oracle: when Scenario.Sessions is set,
-// background workload workers drive mixed-consistency traffic through real
-// client sessions, and every successful session- or strong-level read is
+// This file is the chaos client plane and its session-guarantee oracle.
+// Background workload workers always drive their traffic through real
+// client sessions; when Scenario.Sessions is set the mix is
+// mixed-consistency and every successful session- or strong-level read is
 // checked op-by-op against the session's floor — the freshest version
 // (Lamport clock major, timestamp tiebreak: the store's LWW order) the
 // session has written or read per key. A read below the floor is a
@@ -32,98 +35,46 @@ import (
 // moves on, long enough that healthy replication always makes it.
 const sessionFreshDeadline = 400 * time.Millisecond
 
-// levelOf maps the workload's consistency levels onto the runtime's.
-func levelOf(lvl workload.Level) runtime.Level {
-	switch lvl {
-	case workload.LevelSession:
-		return runtime.LevelSession
-	case workload.LevelBounded:
-		return runtime.LevelBounded
-	case workload.LevelStrong:
-		return runtime.LevelStrong
-	}
-	return runtime.LevelEventual
-}
-
-// sysSession is one logical client session against the system under test:
-// leveled ops that also return the served version, so the oracle can place
-// each observation in LWW order.
-type sysSession interface {
-	write(key string, value []byte) (ackLoc, verKey, error)
-	read(key string, lvl workload.Level) ([]byte, verKey, bool, error)
-}
-
-// sessionSys is a sysTarget that can open client sessions.
-type sessionSys interface {
-	sysTarget
-	newSession() sysSession
-}
-
-// newSession opens a failover-capable cluster session: ops round-robin over
-// replicas like the plain clusterSys paths, retrying elsewhere when a
-// replica is down or cannot serve fresh — the session token makes any
-// replica a valid server for the same guarantees.
-func (s *clusterSys) newSession() sysSession {
-	sess := s.c.NewSession()
-	sess.Deadline = sessionFreshDeadline
-	return &clusterSession{sys: s, sess: sess}
-}
-
-type clusterSession struct {
-	sys  *clusterSys
+// clusterClient is one failover-capable client of the single-cluster system
+// under test: ops round-robin over replicas (next is shared by every client
+// of the cluster), retrying elsewhere when a replica is down or cannot
+// serve fresh — the client-side failover a real deployment would have, and
+// sound because the session token makes any replica a valid server for the
+// same guarantees. The sharded system needs no counterpart: the router's
+// own token-aware routing picks the serving replica, so a *shard.Session is
+// the client as is.
+type clusterClient struct {
 	sess *runtime.Session
+	next *atomic.Uint64
+	n    int
 }
 
-func (s *clusterSession) write(key string, value []byte) (ackLoc, verKey, error) {
+// Write implements workload.Client.
+func (c *clusterClient) Write(key string, value []byte) (shard.Receipt, error) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		id := NodeID(s.sys.next.Add(1) % uint64(s.sys.n))
-		rec, werr := s.sess.Write(id, key, value)
+		id := NodeID(c.next.Add(1) % uint64(c.n))
+		rec, werr := c.sess.Write(id, key, value)
 		if werr == nil {
-			return ackLoc{node: id}, verKey{clock: rec.Clock, ts: rec.TS}, nil
+			return shard.Receipt{Node: id, TS: rec.TS, Clock: rec.Clock}, nil
 		}
 		err = werr
 	}
-	return ackLoc{}, verKey{}, err
+	return shard.Receipt{}, err
 }
 
-func (s *clusterSession) read(key string, lvl workload.Level) ([]byte, verKey, bool, error) {
+// ReadVersioned implements workload.Client.
+func (c *clusterClient) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		id := NodeID(s.sys.next.Add(1) % uint64(s.sys.n))
-		v, ok, rerr := s.sess.ReadLevel(id, key, levelOf(lvl))
+		id := NodeID(c.next.Add(1) % uint64(c.n))
+		v, ok, rerr := c.sess.ReadLevel(id, key, lvl)
 		if rerr == nil {
-			return v.Value, verKey{clock: v.Clock, ts: v.TS}, ok, nil
+			return v, ok, nil
 		}
 		err = rerr
 	}
-	return nil, verKey{}, false, err
-}
-
-// newSession opens a sharded session: the router's own token-aware routing
-// picks the serving replica, so no failover loop is needed here.
-func (s routerSys) newSession() sysSession {
-	sess := s.r.NewSession()
-	sess.Deadline = sessionFreshDeadline
-	return routerSession{sess: sess}
-}
-
-type routerSession struct{ sess *shard.Session }
-
-func (s routerSession) write(key string, value []byte) (ackLoc, verKey, error) {
-	rc, err := s.sess.Write(key, value)
-	if err != nil {
-		return ackLoc{}, verKey{}, err
-	}
-	return ackLoc{shard: rc.Shard, node: rc.Node}, verKey{clock: rc.Clock, ts: rc.TS}, nil
-}
-
-func (s routerSession) read(key string, lvl workload.Level) ([]byte, verKey, bool, error) {
-	v, ok, err := s.sess.ReadVersioned(key, levelOf(lvl))
-	if err != nil {
-		return nil, verKey{}, false, err
-	}
-	return v.Value, verKey{clock: v.Clock, ts: v.TS}, ok, nil
+	return store.Versioned{}, false, err
 }
 
 // sessionOracle aggregates verdict state across every checked session.
@@ -137,13 +88,12 @@ type sessionOracle struct {
 
 func newSessionOracle() *sessionOracle { return &sessionOracle{} }
 
-// open starts one checked session over a live system session.
-func (o *sessionOracle) open(t *tracker, sys sysSession) *oracleSession {
+// open registers one more checked session and returns its number.
+func (o *sessionOracle) open() int {
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	o.sessions++
-	id := o.sessions
-	o.mu.Unlock()
-	return &oracleSession{t: t, sys: sys, oracle: o, id: id, floors: make(map[string]*sessFloor)}
+	return o.sessions
 }
 
 func (o *sessionOracle) read() {
@@ -169,28 +119,39 @@ func (o *sessionOracle) stats() (sessions, reads, violations int, samples []stri
 
 // sessFloor is one session's reference state for one key.
 type sessFloor struct {
-	ver   verKey
-	wrote bool // the session wrote the key: session reads must find it
+	ver   store.Versioned // only its place in LWW order matters
+	wrote bool            // the session wrote the key: session reads must find it
 }
 
-// oracleSession implements workload.Session: every op flows through the
-// tracker's gate (so Pause still drains all traffic) and acked writes join
-// the durability books exactly like plain writes; session/strong reads are
-// additionally checked against the session's floors.
-type oracleSession struct {
+// trackedClient is the workload.Client every chaos worker drives: each op
+// flows through the tracker's gate (so Pause drains all traffic) and acked
+// writes join the durability books; when the scenario armed the session
+// oracle, session/strong reads are additionally checked against the
+// session's floors.
+type trackedClient struct {
 	t      *tracker
-	sys    sysSession
-	oracle *sessionOracle
-	id     int
+	sys    workload.Client
+	id     int // oracle session number (0 when unarmed)
 	gen    int // reshard generation the floors were built under
 	floors map[string]*sessFloor
 }
 
-func (s *oracleSession) floor(key string) *sessFloor {
-	f := s.floors[key]
+// client opens one tracked client over a fresh client of the system under
+// test — the tracker's face to workload.Run.
+func (t *tracker) client() workload.Client {
+	c := &trackedClient{t: t, sys: t.open()}
+	if t.oracle != nil {
+		c.id = t.oracle.open()
+		c.floors = make(map[string]*sessFloor)
+	}
+	return c
+}
+
+func (c *trackedClient) floor(key string) *sessFloor {
+	f := c.floors[key]
 	if f == nil {
 		f = &sessFloor{}
-		s.floors[key] = f
+		c.floors[key] = f
 	}
 	return f
 }
@@ -198,62 +159,65 @@ func (s *oracleSession) floor(key string) *sessFloor {
 // syncGen drops the floors when key ownership may have moved, returning
 // whether a reshard is in flight right now (checks are suspended while one
 // is — the handoff window is documented non-linearizable).
-func (s *oracleSession) syncGen() bool {
-	active, gen := s.t.reshardState()
-	if gen != s.gen {
-		s.gen = gen
-		s.floors = make(map[string]*sessFloor)
+func (c *trackedClient) syncGen() bool {
+	active, gen := c.t.reshardState()
+	if gen != c.gen {
+		c.gen = gen
+		c.floors = make(map[string]*sessFloor)
 	}
 	return active
 }
 
-func (s *oracleSession) Write(key string, value []byte) error {
-	s.t.gate.RLock()
-	defer s.t.gate.RUnlock()
-	loc, ver, err := s.sys.write(key, value)
+// Write implements workload.Client, recording the ack.
+func (c *trackedClient) Write(key string, value []byte) (shard.Receipt, error) {
+	c.t.gate.RLock()
+	defer c.t.gate.RUnlock()
+	rc, err := c.sys.Write(key, value)
 	if err != nil {
-		return err
+		return rc, err
 	}
-	s.t.recordAck(key, value, loc)
-	if s.syncGen() {
-		return nil // mid-reshard acks are at-risk; keep them off the floors
+	c.t.recordAck(key, value, ackLoc{shard: rc.Shard, node: rc.Node})
+	if c.floors == nil || c.syncGen() {
+		return rc, nil // unarmed, or mid-reshard: such acks are at-risk, keep them off the floors
 	}
-	f := s.floor(key)
-	if f.ver.regressedFrom(ver) {
+	f := c.floor(key)
+	if ver := (store.Versioned{TS: rc.TS, Clock: rc.Clock}); f.ver.Older(ver) {
 		f.ver = ver
 	}
 	f.wrote = true
-	return nil
+	return rc, nil
 }
 
-func (s *oracleSession) Read(key string, lvl workload.Level) ([]byte, bool, error) {
-	s.t.gate.RLock()
-	defer s.t.gate.RUnlock()
-	v, ver, ok, err := s.sys.read(key, lvl)
+// ReadVersioned implements workload.Client.
+func (c *trackedClient) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
+	c.t.gate.RLock()
+	defer c.t.gate.RUnlock()
+	v, ok, err := c.sys.ReadVersioned(key, lvl)
 	if err != nil {
 		// Sheds (not-fresh after the deadline) and outages are the
 		// workload's business; refusing to serve stale is the contract.
-		return nil, false, err
+		return v, false, err
 	}
-	if lvl != workload.LevelSession && lvl != workload.LevelStrong {
+	if c.floors == nil || (lvl != runtime.LevelSession && lvl != runtime.LevelStrong) {
 		return v, ok, nil // eventual/bounded reads carry no per-session floor
 	}
-	if s.syncGen() {
+	if c.syncGen() {
 		return v, ok, nil
 	}
-	f := s.floor(key)
-	s.oracle.read()
+	f := c.floor(key)
+	o := c.t.oracle
+	o.read()
 	switch {
 	case !ok && f.wrote:
-		s.oracle.violation(fmt.Sprintf(
+		o.violation(fmt.Sprintf(
 			"session %d: %v read of %q missed the session's own write (floor clock %d) — read-your-writes violation",
-			s.id, lvl, key, f.ver.clock))
-	case ok && ver.regressedFrom(f.ver):
-		s.oracle.violation(fmt.Sprintf(
+			c.id, lvl, key, f.ver.Clock))
+	case ok && v.Older(f.ver):
+		o.violation(fmt.Sprintf(
 			"session %d: %v read of %q served clock %d (%v) below floor clock %d (%v) — monotonic-reads violation",
-			s.id, lvl, key, ver.clock, ver.ts, f.ver.clock, f.ver.ts))
-	case ok && f.ver.regressedFrom(ver):
-		f.ver = ver
+			c.id, lvl, key, v.Clock, v.TS, f.ver.Clock, f.ver.TS))
+	case ok && f.ver.Older(v):
+		f.ver = v
 	}
 	return v, ok, nil
 }

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/runtime"
+	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -50,56 +53,52 @@ func TestValidateRejectsSessionEmptyRestart(t *testing.T) {
 	}
 }
 
-// scriptedSess is a sysSession whose reads replay a scripted version
-// sequence — the fixture proving the oracle actually catches violations.
+// scriptedSess is a client of the system under test whose reads replay a
+// scripted version sequence — the fixture proving the oracle actually
+// catches violations.
 type scriptedSess struct {
 	clock uint64
-	reads []func() ([]byte, verKey, bool, error)
+	reads []func() (store.Versioned, bool)
 }
 
-type scriptedSys struct{ sess *scriptedSess }
+func (s *scriptedSess) open() workload.Client { return s }
 
-func (s scriptedSys) write(string, []byte) (ackLoc, error) { return ackLoc{}, nil }
-func (s scriptedSys) read(string) ([]byte, bool, error)    { return nil, false, nil }
-func (s scriptedSys) newSession() sysSession               { return s.sess }
-
-func (s *scriptedSess) write(string, []byte) (ackLoc, verKey, error) {
+func (s *scriptedSess) Write(string, []byte) (shard.Receipt, error) {
 	s.clock++
-	return ackLoc{node: 0}, verKey{clock: s.clock, ts: vclock.Timestamp{Node: 0, Seq: s.clock}}, nil
+	return shard.Receipt{TS: vclock.Timestamp{Node: 0, Seq: s.clock}, Clock: s.clock}, nil
 }
 
-func (s *scriptedSess) read(string, workload.Level) ([]byte, verKey, bool, error) {
+func (s *scriptedSess) ReadVersioned(string, runtime.Level) (store.Versioned, bool, error) {
 	next := s.reads[0]
 	s.reads = s.reads[1:]
-	return next()
+	v, ok := next()
+	return v, ok, nil
 }
 
-func TestSessionOracleDetectsViolations(t *testing.T) {
-	served := func(clock uint64) func() ([]byte, verKey, bool, error) {
-		return func() ([]byte, verKey, bool, error) {
-			return []byte("v"), verKey{clock: clock, ts: vclock.Timestamp{Node: 1, Seq: clock}}, true, nil
-		}
+func served(clock uint64) func() (store.Versioned, bool) {
+	return func() (store.Versioned, bool) {
+		return store.Versioned{Value: []byte("v"), TS: vclock.Timestamp{Node: 1, Seq: clock}, Clock: clock}, true
 	}
-	miss := func() ([]byte, verKey, bool, error) { return nil, verKey{}, false, nil }
+}
 
-	sess := &scriptedSess{reads: []func() ([]byte, verKey, bool, error){
+func miss() (store.Versioned, bool) { return store.Versioned{}, false }
+
+func TestSessionOracleDetectsViolations(t *testing.T) {
+	sess := &scriptedSess{reads: []func() (store.Versioned, bool){
 		served(1), // fresh: establishes the floor at the write's clock anyway
 		miss,      // read-your-writes violation: the session wrote the key
 		served(0), // monotonic-reads violation: below the floor
 		served(5), // recovery: at/above floor, ratchets it
 	}}
-	tr := newTracker(scriptedSys{sess: sess})
+	tr := newTracker(sess.open)
 	tr.oracle = newSessionOracle()
 
-	ws := tr.NewSession()
-	if ws == nil {
-		t.Fatal("armed tracker refused to open a session")
-	}
-	if err := ws.Write("k", []byte("v")); err != nil {
+	ws := tr.client()
+	if _, err := ws.Write("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := ws.Read("k", workload.LevelSession); err != nil {
+		if _, _, err := ws.ReadVersioned("k", runtime.LevelSession); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,18 +117,15 @@ func TestSessionOracleDetectsViolations(t *testing.T) {
 func TestSessionOracleIgnoresUncheckedLevels(t *testing.T) {
 	// Bounded and eventual reads may serve stale by contract: a regressed
 	// version at those levels must not count.
-	sess := &scriptedSess{reads: []func() ([]byte, verKey, bool, error){
-		func() ([]byte, verKey, bool, error) { return nil, verKey{}, false, nil },
-		func() ([]byte, verKey, bool, error) { return nil, verKey{}, false, nil },
-	}}
-	tr := newTracker(scriptedSys{sess: sess})
+	sess := &scriptedSess{reads: []func() (store.Versioned, bool){miss, miss}}
+	tr := newTracker(sess.open)
 	tr.oracle = newSessionOracle()
-	ws := tr.NewSession()
-	if err := ws.Write("k", []byte("v")); err != nil {
+	ws := tr.client()
+	if _, err := ws.Write("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	for _, lvl := range []workload.Level{workload.LevelEventual, workload.LevelBounded} {
-		if _, _, err := ws.Read("k", lvl); err != nil {
+	for _, lvl := range []runtime.Level{runtime.LevelEventual, runtime.LevelBounded} {
+		if _, _, err := ws.ReadVersioned("k", lvl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,15 +135,23 @@ func TestSessionOracleIgnoresUncheckedLevels(t *testing.T) {
 }
 
 func TestTrackerSessionsDisarmedByDefault(t *testing.T) {
-	// Without the oracle armed — and on systems that cannot open sessions —
-	// NewSession degrades to nil so the workload falls back to plain reads.
-	if s := newTracker(scriptedSys{sess: &scriptedSess{}}).NewSession(); s != nil {
-		t.Error("unarmed tracker opened a session")
+	// Without the oracle armed a client still books its acks for the
+	// durability invariant, but even a blatant read-your-writes miss at
+	// session level is nobody's business.
+	sess := &scriptedSess{reads: []func() (store.Versioned, bool){miss}}
+	tr := newTracker(sess.open)
+	ws := tr.client()
+	if _, err := ws.Write("k", []byte("v")); err != nil {
+		t.Fatal(err)
 	}
-	tr := newTracker(&fakeSys{})
-	tr.oracle = newSessionOracle()
-	if s := tr.NewSession(); s != nil {
-		t.Error("sessionless system under test opened a session")
+	if _, ok, err := ws.ReadVersioned("k", runtime.LevelSession); ok || err != nil {
+		t.Fatalf("scripted miss read as (%t, %v)", ok, err)
+	}
+	if acked, _, _ := tr.counts(); acked != 1 {
+		t.Errorf("unarmed client booked %d acks, want 1", acked)
+	}
+	if tr.oracle != nil {
+		t.Error("a fresh tracker came with the session oracle armed")
 	}
 }
 

@@ -14,13 +14,6 @@ type ackLoc struct {
 	node  NodeID
 }
 
-// sysTarget adapts the system under test (cluster or router) for the
-// tracker: writes return where they were acknowledged.
-type sysTarget interface {
-	write(key string, value []byte) (ackLoc, error)
-	read(key string) ([]byte, bool, error)
-}
-
 // writeRec records that some acknowledged write at a location is not yet
 // sealed (value identity lives in keyRec.hashes).
 type writeRec struct {
@@ -40,8 +33,9 @@ type keyRec struct {
 	pending []writeRec
 }
 
-// tracker wraps the system under test as a workload.Target, recording every
-// acknowledged write so the durability invariant can be checked later.
+// tracker wraps the system under test's clients (see client, sessions.go),
+// recording every acknowledged write so the durability invariant can be
+// checked later.
 //
 // Durability classification mirrors what the protocol actually guarantees:
 // an acked write becomes *sealed* (loss is a bug) once the system converges
@@ -55,10 +49,12 @@ type tracker struct {
 	// gate pauses traffic: ops hold it shared, Pause takes it exclusively,
 	// so Pause blocks until in-flight ops drain and stops new ones.
 	gate sync.RWMutex
-	sys  sysTarget
+	// open opens one client of the system under test (a failover session
+	// over the cluster, or a router session).
+	open func() workload.Client
 
-	// oracle, when non-nil, arms the session-guarantee oracle: NewSession
-	// opens checked client sessions (see sessions.go).
+	// oracle, when non-nil, arms the session-guarantee oracle: clients check
+	// their session- and strong-level reads against per-session floors.
 	oracle *sessionOracle
 
 	mu         sync.Mutex
@@ -69,20 +65,8 @@ type tracker struct {
 	atRisk     int
 }
 
-func newTracker(sys sysTarget) *tracker {
-	return &tracker{sys: sys, keys: make(map[string]*keyRec)}
-}
-
-// Write implements workload.Target, recording the ack.
-func (t *tracker) Write(key string, value []byte) error {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	loc, err := t.sys.write(key, value)
-	if err != nil {
-		return err
-	}
-	t.recordAck(key, value, loc)
-	return nil
+func newTracker(open func() workload.Client) *tracker {
+	return &tracker{open: open, keys: make(map[string]*keyRec)}
 }
 
 // recordAck books one acknowledged write for the durability invariant.
@@ -117,30 +101,11 @@ func (t *tracker) recordAck(key string, value []byte, loc ackLoc) {
 	t.acked++
 }
 
-// Read implements workload.Target.
-func (t *tracker) Read(key string) ([]byte, bool, error) {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	return t.sys.read(key)
-}
-
 // Pause blocks until in-flight ops drain, then stops new ops until Resume.
 func (t *tracker) Pause() { t.gate.Lock() }
 
 // Resume lets traffic flow again.
 func (t *tracker) Resume() { t.gate.Unlock() }
-
-// NewSession implements workload.SessionTarget: when the scenario armed the
-// session oracle and the system under test can open client sessions, every
-// workload worker gets one checked session. Otherwise it returns nil and
-// the workload silently degrades its leveled read mix to eventual reads.
-func (t *tracker) NewSession() workload.Session {
-	ss, ok := t.sys.(sessionSys)
-	if !ok || t.oracle == nil {
-		return nil
-	}
-	return t.oracle.open(t, ss.newSession())
-}
 
 // beginReshard marks subsequent acks at-risk until endReshard.
 func (t *tracker) beginReshard() {

@@ -235,13 +235,10 @@ func (r *replica) release(rel *ackRelease) {
 		} else {
 			r.failStop(err)
 		}
-		// When a fail-stop (ours or a concurrent one) retired the replica,
-		// reject with the typed fail-stop error so clients learn the
-		// reason; an administrative Kill keeps the raw sync error.
-		if r.failCause.Load() != nil {
-			err = r.deadError()
-		}
-		r.failBatch(rel.batch, err)
+		// Whoever retired the incarnation — this fail-stop, a concurrent one
+		// or an administrative Kill — the waiters learn it as every later
+		// client op at the replica does.
+		r.failBatch(rel.batch, r.deadError())
 		return
 	}
 	r.ack(rel, coalesced)

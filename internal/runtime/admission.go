@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -16,9 +14,10 @@ import (
 // write pins memory, sojourn time climbs without limit, and the replica
 // eventually serves nobody. The controller keeps the replica useful under
 // overload by shedding NEW writes instead — a shed write is rejected with
-// a typed ErrOverload before it reaches the node or the WAL, so it is
-// visibly failed (never silently lost) and the durability invariants are
-// untouched: only acknowledged writes ever enter the write log.
+// a *Rejection matching ErrOverload before it reaches the node or the
+// WAL, so it is visibly failed (never silently lost) and the durability
+// invariants are untouched: only acknowledged writes ever enter the write
+// log.
 //
 // The controller is CoDel-shaped (Nichols & Jacobson): it watches
 // sojourn time — how long the oldest request of each acked batch waited
@@ -40,8 +39,8 @@ import (
 // unshedded traffic ever sees — is two atomic loads and zero
 // allocations; the shed paths allocate only the error they return.
 
-// ShedReason values carried by OverloadError.Reason, one per admission
-// decision point.
+// The Reason values of a KindOverload Rejection, one per admission decision
+// point.
 const (
 	// ShedQueueFull: the combining queue hit MaxQueueDepth.
 	ShedQueueFull = "queue-full"
@@ -51,41 +50,6 @@ const (
 	// ShedDeadline: the write's deadline expired while it was parked.
 	ShedDeadline = "deadline"
 )
-
-// ErrOverload is the sentinel all admission-control rejections match:
-// errors.Is(err, ErrOverload) reports whether a write was shed (and is
-// worth retrying after a backoff) as opposed to failed (replica down).
-var ErrOverload = errors.New("runtime: replica overloaded")
-
-// OverloadError is the typed rejection a shed write receives. It matches
-// ErrOverload under errors.Is and carries a retry-after hint derived from
-// the queue's recently observed sojourn time, so clients can back off
-// proportionally to the actual backlog instead of guessing.
-type OverloadError struct {
-	// Replica is the replica that shed the write.
-	Replica NodeID
-	// Reason is the admission decision: ShedQueueFull, ShedSojourn or
-	// ShedDeadline.
-	Reason string
-	// RetryAfter is the server's backoff hint.
-	RetryAfter time.Duration
-}
-
-// Error renders the rejection.
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("runtime: replica %v overloaded (%s, retry after %v)",
-		e.Replica, e.Reason, e.RetryAfter)
-}
-
-// Is matches ErrOverload, so errors.Is(err, ErrOverload) holds for every
-// shed write.
-func (e *OverloadError) Is(target error) bool { return target == ErrOverload }
-
-// RetryAfterHint returns the server's backoff hint. It exists as a method
-// (not just a field) so client-side packages can detect overload errors
-// through a local one-method interface with errors.As, without importing
-// this package.
-func (e *OverloadError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // AdmissionConfig bounds a replica's write-combining queue and tunes the
 // CoDel-style admission controller. The zero value (normalised by
@@ -222,14 +186,7 @@ func (a *admission) observe(now int64, sojourn time.Duration) {
 // clamped to [1ms, 1s]: the backlog's own drain time is the best
 // available estimate of when capacity returns.
 func (a *admission) retryAfter() time.Duration {
-	d := time.Duration(a.lastSojourn.Load())
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	return clampRetry(time.Duration(a.lastSojourn.Load()))
 }
 
 // shedTotal sums shed writes across reasons.
@@ -239,7 +196,7 @@ func (a *admission) shedTotal() uint64 {
 
 // shed records one shed write (reason counters plus the observability
 // plane's counters when attached) and builds the client's rejection.
-func (r *replica) shed(reason string) *OverloadError {
+func (r *replica) shed(reason string) *Rejection {
 	a := &r.adm
 	co := r.cluster.opts.obs
 	switch reason {
@@ -259,49 +216,7 @@ func (r *replica) shed(reason string) *OverloadError {
 			co.ShedDeadline.Inc()
 		}
 	}
-	return &OverloadError{Replica: r.id, Reason: reason, RetryAfter: a.retryAfter()}
-}
-
-// FailStopError reports a client operation rejected because the replica
-// fail-stopped: its WAL could no longer persist writes. Reason buckets
-// the cause the same way the fail-stop metric does — "disk-full" (an
-// operator can free space and restart) versus "io-error" (the disk is
-// dying). Either way the replica is gone until restarted, so clients
-// should reroute rather than retry — the opposite of an ErrOverload shed.
-type FailStopError struct {
-	// Replica is the fail-stopped replica.
-	Replica NodeID
-	// Reason is "disk-full" or "io-error".
-	Reason string
-	// Cause is the WAL error that forced the stop.
-	Cause error
-}
-
-// Error renders the rejection.
-func (e *FailStopError) Error() string {
-	return fmt.Sprintf("runtime: replica %v fail-stopped (%s): %v", e.Replica, e.Reason, e.Cause)
-}
-
-// Unwrap exposes the WAL error, so errors.Is can still match the
-// underlying cause (e.g. syscall.ENOSPC).
-func (e *FailStopError) Unwrap() error { return e.Cause }
-
-// failStopInfo is the lock-free record of why a replica fail-stopped,
-// published by failStop and read by the dead-replica error paths and
-// health probes without the replica lock.
-type failStopInfo struct {
-	reason string
-	cause  error
-}
-
-// deadError describes why the replica no longer accepts client
-// operations: the fail-stop cause when there is one, a plain down error
-// after an administrative Kill.
-func (r *replica) deadError() error {
-	if fc := r.failCause.Load(); fc != nil {
-		return &FailStopError{Replica: r.id, Reason: fc.reason, Cause: fc.cause}
-	}
-	return fmt.Errorf("runtime: replica %v is down", r.id)
+	return &Rejection{Kind: KindOverload, Replica: r.id, Reason: reason, RetryAfter: a.retryAfter()}
 }
 
 // ReplicaHealth is a snapshot of one replica's client-plane health — the
@@ -348,8 +263,8 @@ func (c *Cluster) Health(id NodeID) ReplicaHealth {
 		LastSojourn: time.Duration(r.adm.lastSojourn.Load()),
 		Shed:        r.adm.shedTotal(),
 	}
-	if fc := r.failCause.Load(); fc != nil {
-		h.FailReason = fc.reason
+	if rej := r.failCause.Load(); rej != nil {
+		h.FailReason = rej.Reason
 	}
 	return h
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -14,6 +15,45 @@ import (
 func admissionCluster(t *testing.T, n int, cfg AdmissionConfig) *Cluster {
 	t.Helper()
 	return startClientPlaneCluster(t, n, WithAdmission(cfg))
+}
+
+// stallLeader holds replica id's lock and parks the commit leader of one
+// write on it, so every later write to the replica queues behind a leader
+// that cannot drain. waitParked then blocks until n writes are parked;
+// release frees the lock and waits for the stalled write to commit.
+func stallLeader(t *testing.T, c *Cluster, id NodeID, key string) (waitParked func(n int), release func()) {
+	t.Helper()
+	r := c.replicas[id]
+	r.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Picked up before the stall: commits fine once the lock frees.
+		if _, err := c.Write(id, key, []byte("v")); err != nil {
+			t.Errorf("stalled leader's write failed: %v", err)
+		}
+	}()
+	var once sync.Once
+	release = func() { once.Do(func() { r.mu.Unlock(); <-done }) }
+	poll := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				release()
+				t.Fatalf("%s", what)
+			}
+		}
+	}
+	poll("commit leader never installed", func() bool {
+		r.wq.mu.Lock()
+		defer r.wq.mu.Unlock()
+		return r.wq.leader && len(r.wq.pending) == 0
+	})
+	waitParked = func(n int) {
+		t.Helper()
+		poll(fmt.Sprintf("never saw %d parked writes", n), func() bool { return r.wq.depth() == n })
+	}
+	return waitParked, release
 }
 
 func TestAdmissionConfigNormalized(t *testing.T) {
@@ -106,18 +146,22 @@ func TestRetryAfterClamped(t *testing.T) {
 	}
 }
 
+// TestOverloadErrorSemantics pins how a hand-built Rejection matches the
+// sentinels, bare and wrapped (the paths that produce real ones are
+// TestRejectionTable's).
 func TestOverloadErrorSemantics(t *testing.T) {
-	err := error(&OverloadError{Replica: 3, Reason: ShedSojourn, RetryAfter: 7 * time.Millisecond})
-	if !errors.Is(err, ErrOverload) {
-		t.Fatal("OverloadError does not match ErrOverload under errors.Is")
-	}
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.RetryAfterHint() != 7*time.Millisecond {
-		t.Fatal("OverloadError lost its retry-after hint through errors.As")
-	}
+	err := error(&Rejection{Kind: KindOverload, Replica: 3, Reason: ShedSojourn, RetryAfter: 7 * time.Millisecond})
 	wrapped := fmt.Errorf("write k: %w", err)
-	if !errors.Is(wrapped, ErrOverload) {
-		t.Fatal("wrapped OverloadError does not match ErrOverload")
+	if !errors.Is(err, ErrOverload) || !errors.Is(wrapped, ErrOverload) || errors.Is(err, ErrNotFresh) {
+		t.Fatal("overload rejection does not match exactly ErrOverload under errors.Is")
+	}
+	var rej *Rejection
+	if !errors.As(wrapped, &rej) || rej.RetryAfter != 7*time.Millisecond {
+		t.Fatal("rejection lost its retry-after hint through errors.As")
+	}
+	gone := &Rejection{Kind: KindFailStop, Replica: 1, Reason: "disk-full", Cause: errors.New("no space")}
+	if errors.Is(gone, ErrOverload) || errors.Is(gone, ErrNotFresh) {
+		t.Error("fail-stop rejection matches a retry sentinel; clients would retry a dead replica")
 	}
 }
 
@@ -145,33 +189,8 @@ func TestAdmissionFastPathZeroAllocs(t *testing.T) {
 func TestQueueFullSheds(t *testing.T) {
 	const depth = 4
 	c := admissionCluster(t, 3, AdmissionConfig{MaxQueueDepth: depth, Target: -1})
-	r := c.replicas[0]
-
-	r.mu.Lock()
-	var leader sync.WaitGroup
-	leader.Add(1)
-	go func() {
-		defer leader.Done()
-		if _, err := c.Write(0, "leader", []byte("v")); err != nil {
-			t.Errorf("leader write failed: %v", err)
-		}
-	}()
-	// Wait for the leader to install itself and stall on the replica lock,
-	// so every write below parks behind it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r.wq.mu.Lock()
-		installed := r.wq.leader
-		r.wq.mu.Unlock()
-		if installed {
-			break
-		}
-		if time.Now().After(deadline) {
-			r.mu.Unlock()
-			t.Fatal("commit leader never installed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked, release := stallLeader(t, c, 0, "leader")
+	defer release()
 	var parked sync.WaitGroup
 	for i := 0; i < depth; i++ {
 		parked.Add(1)
@@ -182,29 +201,14 @@ func TestQueueFullSheds(t *testing.T) {
 			}
 		}(i)
 	}
-	for {
-		if r.wq.depth() == depth {
-			break
-		}
-		if time.Now().After(deadline) {
-			r.mu.Unlock()
-			t.Fatalf("queue depth %d, want %d parked writes", r.wq.depth(), depth)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(depth)
 
 	_, err := c.Write(0, "overflow", []byte("v"))
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Reason != ShedQueueFull {
-		r.mu.Unlock()
-		t.Fatalf("write against a full queue returned %v, want a %s OverloadError", err, ShedQueueFull)
+	var rej *Rejection
+	if !errors.As(err, &rej) || rej.Reason != ShedQueueFull {
+		t.Fatalf("write against a full queue returned %v, want a %s rejection", err, ShedQueueFull)
 	}
-	if oe.RetryAfter <= 0 {
-		r.mu.Unlock()
-		t.Fatal("queue-full rejection carries no retry-after hint")
-	}
-	r.mu.Unlock()
-	leader.Wait()
+	release()
 	parked.Wait()
 
 	h := c.Health(0)
@@ -220,56 +224,22 @@ func TestQueueFullSheds(t *testing.T) {
 func TestWriteDeadlineSheds(t *testing.T) {
 	const deadline = 20 * time.Millisecond
 	c := admissionCluster(t, 3, AdmissionConfig{Target: -1, WriteDeadline: deadline})
-	r := c.replicas[0]
-
-	r.mu.Lock()
-	var leader sync.WaitGroup
-	leader.Add(1)
-	go func() {
-		defer leader.Done()
-		// Picked up before the stall: commits fine once the lock frees.
-		if _, err := c.Write(0, "live", []byte("v")); err != nil {
-			t.Errorf("in-flight write failed: %v", err)
-		}
-	}()
-	wait := time.Now().Add(2 * time.Second)
-	for {
-		r.wq.mu.Lock()
-		installed := r.wq.leader
-		r.wq.mu.Unlock()
-		if installed {
-			break
-		}
-		if time.Now().After(wait) {
-			r.mu.Unlock()
-			t.Fatal("commit leader never installed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked, release := stallLeader(t, c, 0, "live")
+	defer release()
 	errs := make(chan error, 1)
 	go func() {
 		_, err := c.Write(0, "expired", []byte("v"))
 		errs <- err
 	}()
-	for {
-		if r.wq.depth() == 1 {
-			break
-		}
-		if time.Now().After(wait) {
-			r.mu.Unlock()
-			t.Fatal("write never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(1)
 	// Hold the stall past the parked write's deadline, then release.
 	time.Sleep(2 * deadline)
-	r.mu.Unlock()
-	leader.Wait()
+	release()
 
 	err := <-errs
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Reason != ShedDeadline {
-		t.Fatalf("expired parked write returned %v, want a %s OverloadError", err, ShedDeadline)
+	var rej *Rejection
+	if !errors.As(err, &rej) || rej.Reason != ShedDeadline {
+		t.Fatalf("expired parked write returned %v, want a %s rejection", err, ShedDeadline)
 	}
 	if _, ok, _ := c.Read(0, "expired"); ok {
 		t.Fatal("deadline-shed write is visible in the store — it reached the node despite the rejection")
@@ -341,8 +311,7 @@ func TestFailStopReasonBuckets(t *testing.T) {
 	if got := failStopReason(errors.New("write wal: input/output error")); got != "io-error" {
 		t.Errorf("generic IO error bucketed as %q, want io-error", got)
 	}
-	fse := &FailStopError{Replica: 1, Reason: "disk-full", Cause: errors.New("no space")}
-	if errors.Is(fse, ErrOverload) {
-		t.Error("FailStopError matches ErrOverload; clients would retry a dead replica")
+	if got := failStopReason(fmt.Errorf("append: %w", syscall.ENOSPC)); got != "disk-full" {
+		t.Errorf("ENOSPC bucketed as %q, want disk-full", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,9 +36,9 @@ import (
 //     the call.
 //
 // Waits are deadline-bounded: a replica that cannot catch up in time sheds
-// the read with a typed *NotFreshError matching ErrNotFresh and carrying a
-// retry-after hint, the same structural shape as the admission plane's
-// OverloadError, so client retry loops handle both identically.
+// the read with a KindNotFresh *Rejection matching ErrNotFresh and carrying
+// a retry-after hint — the same type the admission plane sheds writes with,
+// so client retry loops handle both identically.
 //
 // The covered fast path takes no lock at all and allocates nothing: one
 // atomic store-pointer load, one atomic load of the replica's immutable
@@ -87,21 +86,6 @@ func (l Level) String() string {
 		return "strong"
 	}
 	return fmt.Sprintf("Level(%d)", int(l))
-}
-
-// ParseLevel parses a level name as spelled by String (case-insensitive).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(s) {
-	case "eventual":
-		return LevelEventual, nil
-	case "session":
-		return LevelSession, nil
-	case "bounded":
-		return LevelBounded, nil
-	case "strong":
-		return LevelStrong, nil
-	}
-	return 0, fmt.Errorf("runtime: unknown consistency level %q", s)
 }
 
 // Token is a session's freshness watermark: a summary vector recording
@@ -245,53 +229,15 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// ErrNotFresh is the sentinel every freshness-deadline rejection matches:
-// errors.Is(err, ErrNotFresh) reports that the replica could not reach the
-// read's required coverage in time (worth retrying, possibly elsewhere) as
-// opposed to being down.
-var ErrNotFresh = errors.New("runtime: replica not fresh enough")
-
-// NotFreshError is the typed rejection a leveled read receives when its
-// freshness wait deadlines. It matches ErrNotFresh under errors.Is and
-// carries a retry-after hint derived from the anti-entropy cadence — the
-// same structural shape as the admission plane's OverloadError, so client
-// retry loops (workload.Run among them) handle both through one interface.
-type NotFreshError struct {
-	// Replica is the replica that could not serve the read.
-	Replica NodeID
-	// Level is the consistency level the read demanded.
-	Level Level
-	// Lag is how many writes the read's target covers that the replica had
-	// not applied when the deadline lapsed.
-	Lag uint64
-	// RetryAfter is the server's backoff hint.
-	RetryAfter time.Duration
-}
-
-// Error renders the rejection.
-func (e *NotFreshError) Error() string {
-	return fmt.Sprintf("runtime: replica %v not fresh enough for %v read (lag %d, retry after %v)",
-		e.Replica, e.Level, e.Lag, e.RetryAfter)
-}
-
-// Is matches ErrNotFresh, so errors.Is(err, ErrNotFresh) holds for every
-// freshness shed.
-func (e *NotFreshError) Is(target error) bool { return target == ErrNotFresh }
-
-// RetryAfterHint returns the server's backoff hint; the method (shared with
-// OverloadError) lets client packages detect retryable sheds through a
-// local one-method interface without importing this package.
-func (e *NotFreshError) RetryAfterHint() time.Duration { return e.RetryAfter }
-
 // DefaultFreshWait bounds a leveled read's freshness wait when
 // LeveledRead.Deadline is zero. It is far past the propagation latency of
 // a healthy cluster; reads that hit it are stalled by a partition, an
 // overload, or a dead origin — exactly what ErrNotFresh reports.
 const DefaultFreshWait = 2 * time.Second
 
-// LeveledRead carries one read's consistency parameters. Reuse one value
-// across reads (it is plain data) to keep the covered fast path free of
-// per-call allocation.
+// LeveledRead carries one read's optional consistency parameters. Reuse
+// one value across reads (it is plain data) to keep the covered fast path
+// free of per-call allocation.
 type LeveledRead struct {
 	// Level is the consistency guarantee to enforce.
 	Level Level
@@ -315,139 +261,136 @@ type WriteReceipt struct {
 	Clock uint64
 }
 
-// WriteSession performs a client write and folds the acknowledged position
-// into the session token, so subsequent session reads anywhere observe it.
-// A nil token degrades to WriteReceipted.
-func (c *Cluster) WriteSession(id NodeID, key string, value []byte, tok *Token) (WriteReceipt, error) {
-	rec, err := c.WriteReceipted(id, key, value)
-	if err == nil && tok != nil {
-		tok.ObserveWrite(rec.TS)
+// ReadLeveled is the leveled face of the one client read (see serve): it
+// serves key at replica id under the consistency level opt selects and
+// returns the versioned value, so callers (session caches, invariant
+// oracles) can order what they observed. A nil opt is a plain read. The
+// returned value slice is a read-only view of replicated content (store
+// immutability contract); callers that need a mutable buffer copy it.
+func (c *Cluster) ReadLeveled(id NodeID, key string, opt *LeveledRead) (store.Versioned, bool, error) {
+	st, err := c.serve(id, key, opt)
+	if err != nil {
+		return store.Versioned{}, false, err
 	}
-	return rec, err
+	v, ok := st.Read(key)
+	if ok && opt != nil && opt.Token != nil && opt.Level == LevelStrong {
+		// Strong reads join the session's monotonic floor.
+		opt.Token.ObserveWrite(v.TS)
+	}
+	return v, ok, nil
 }
 
-// ReadLeveled serves a client read at replica id under the consistency
-// level opt selects, returning the versioned value so callers (session
-// caches, invariant oracles) can order what they observed. A nil opt is an
-// eventual read. Like Read it never takes any lock: the covered fast path
-// is atomic loads plus one pass over the applied-watermark snapshot, and
-// allocates nothing. Reads that must wait park on the
+// serve is the one client read body, up to the store lookup its two faces
+// (Cluster.Read, ReadLeveled) finish with: it resolves the replica, refuses
+// if it is not serving — reads at a killed replica fail, a crashed server
+// cannot serve, matching writes — meters the request, enforces the
+// freshness gate of opt's level (nil opt: a plain read, no gate) and returns
+// the store to read key from. The lookup then counts the read once in the
+// store's striped read counter; a leveled read also counts under its level
+// here.
+//
+// The read path never acquires the replica lock: the store pointer is
+// published atomically (nil while the replica is dead), the demand meter is
+// atomic, the store itself is hash-striped, and the covered fast path of a
+// leveled read is atomic loads plus one pass over the applied-watermark
+// snapshot — it allocates nothing. Reads that must wait park on the
 // cluster's freshness queue until the replica catches up, the deadline
-// lapses (a typed *NotFreshError matching ErrNotFresh), or the replica
+// lapses (a KindNotFresh *Rejection matching ErrNotFresh), or the replica
 // dies.
-func (c *Cluster) ReadLeveled(id NodeID, key string, opt *LeveledRead) (store.Versioned, bool, error) {
+func (c *Cluster) serve(id NodeID, key string, opt *LeveledRead) (*store.Store, error) {
 	if int(id) < 0 || int(id) >= len(c.replicas) {
-		return store.Versioned{}, false, fmt.Errorf("runtime: no replica %v", id)
+		return nil, fmt.Errorf("runtime: no replica %v", id)
 	}
 	r := c.replicas[id]
 	st := r.store.Load()
 	if st == nil {
-		return store.Versioned{}, false, r.deadError()
+		return nil, r.deadError()
 	}
 	if r.meter != nil {
 		r.meter.Record(time.Now())
 	}
-	lvl := LevelEventual
-	if opt != nil {
-		lvl = opt.Level
+	if opt == nil {
+		return st, nil
 	}
-	switch lvl {
+	switch tok := opt.Token; opt.Level {
 	case LevelSession, LevelBounded:
-		if opt.Token == nil {
-			break // nothing to be consistent with: eventual semantics
+		// A nil token has nothing to be consistent with: eventual semantics.
+		// Otherwise the steady-state probe runs inline, so the covered read
+		// pays one atomic load and a pointer compare over the plain read
+		// path; the token cache misses only when the replica's coverage
+		// advanced.
+		if tok == nil {
+			break
 		}
-		// Steady-state probe, inline so the covered read pays one atomic
-		// load and a pointer compare over the plain read path; the token
-		// cache misses only when the replica's coverage advanced.
-		if sum := r.applied.snap.Load(); sum == nil || opt.Token.covered != sum {
+		if sum := r.applied.snap.Load(); sum == nil || tok.covered != sum {
 			var maxLag uint64
-			if lvl == LevelBounded {
+			if opt.Level == LevelBounded {
 				maxLag = opt.MaxLag
 			}
-			merge := lvl == LevelSession
-			if _, ok := r.applied.readCovered(opt.Token, maxLag, merge); !ok {
-				if err := c.waitFresh(r, &opt.Token.sum, vclock.Timestamp{}, maxLag, opt.Deadline, lvl); err != nil {
-					return store.Versioned{}, false, err
-				}
-				// Caught up (or a racing restart reset coverage — re-check).
-				if _, ok := r.applied.readCovered(opt.Token, maxLag, merge); !ok {
-					return store.Versioned{}, false, c.notFresh(r, lvl, &opt.Token.sum, maxLag)
-				}
+			if err := c.awaitToken(r, opt, maxLag, opt.Level == LevelSession); err != nil {
+				return nil, err
 			}
 		}
 	case LevelStrong:
-		if opt.Token != nil {
+		if tok != nil {
 			// Strong subsumes session: a token-carrying strong read also
 			// honors the session floor. Without this, a dead replica holding
 			// the only copy of a session-observed version would let the
 			// freshest-live answer regress below the floor; instead the read
 			// sheds until the origin returns.
-			if _, ok := r.applied.readCovered(opt.Token, 0, true); !ok {
-				if err := c.waitFresh(r, &opt.Token.sum, vclock.Timestamp{}, 0, opt.Deadline, lvl); err != nil {
-					return store.Versioned{}, false, err
-				}
-				if _, ok := r.applied.readCovered(opt.Token, 0, true); !ok {
-					return store.Versioned{}, false, c.notFresh(r, lvl, &opt.Token.sum, 0)
-				}
+			if err := c.awaitToken(r, opt, 0, true); err != nil {
+				return nil, err
 			}
 		}
-		want, found := c.freshestVersion(key)
-		if found && !r.applied.covers(want.TS) {
-			if err := c.waitFresh(r, nil, want.TS, 0, opt.Deadline, lvl); err != nil {
-				return store.Versioned{}, false, err
+		if want, found := c.freshestVersion(key); found && !r.applied.covers(want.TS) {
+			if err := c.waitFresh(r, nil, want.TS, 0, opt); err != nil {
+				return nil, err
 			}
 			if !r.applied.covers(want.TS) {
-				return store.Versioned{}, false, c.notFresh(r, lvl, nil, 0)
+				return nil, c.notFresh(r, opt.Level)
 			}
 		}
-		st2 := r.store.Load()
-		if st2 == nil {
-			return store.Versioned{}, false, r.deadError()
+		// The waits may have outlived the incarnation the store was loaded
+		// from.
+		if st = r.store.Load(); st == nil {
+			return nil, r.deadError()
 		}
-		c.countRead(lvl)
-		v, ok := st2.GetVersion(key)
-		if ok && opt.Token != nil {
-			// Strong reads join the session's monotonic floor.
-			opt.Token.ObserveWrite(v.TS)
-		}
-		return v, ok, nil
 	}
-	c.countRead(lvl)
-	v, ok := st.GetVersion(key)
-	return v, ok, nil
+	c.countRead(opt.Level)
+	return st, nil
 }
 
-// notFresh builds the typed freshness rejection (re-probing the lag for
-// the error detail) and counts the shed.
-func (c *Cluster) notFresh(r *replica, lvl Level, want *vclock.Summary, maxLag uint64) error {
+// awaitToken gates a token-carrying read: it returns once r's applied
+// coverage is within maxLag of opt.Token (folding the coverage back into
+// the token when merge is set), parking on the freshness queue if it is not
+// there yet. Off the covered fast path of session reads, which probe the
+// token's cache inline first.
+func (c *Cluster) awaitToken(r *replica, opt *LeveledRead, maxLag uint64, merge bool) error {
+	if r.applied.readCovered(opt.Token, maxLag, merge) {
+		return nil
+	}
+	if err := c.waitFresh(r, &opt.Token.sum, vclock.Timestamp{}, maxLag, opt); err != nil {
+		return err
+	}
+	// Caught up — or a racing restart reset coverage: re-check.
+	if !r.applied.readCovered(opt.Token, maxLag, merge) {
+		return c.notFresh(r, opt.Level)
+	}
+	return nil
+}
+
+// notFresh builds the freshness rejection and counts the shed. The backoff
+// hint is half the mean anti-entropy session interval — the expected time
+// to the next absorb — clamped like the admission plane's.
+func (c *Cluster) notFresh(r *replica, lvl Level) error {
 	if r.store.Load() == nil {
 		return r.deadError()
-	}
-	var lag uint64 = 1
-	if want != nil {
-		lag = r.applied.lagBehind(want)
-		if lag <= maxLag {
-			lag = maxLag + 1 // raced back under the bound; still report a shed
-		}
 	}
 	if co := c.opts.obs; co != nil {
 		co.NotFresh.Inc()
 	}
-	return &NotFreshError{Replica: r.id, Level: lvl, Lag: lag, RetryAfter: c.freshRetryAfter()}
-}
-
-// freshRetryAfter derives the backoff hint for a freshness shed: half the
-// mean anti-entropy session interval — the expected time to the next
-// absorb — clamped to [1ms, 1s] like the admission plane's hint.
-func (c *Cluster) freshRetryAfter() time.Duration {
-	d := c.opts.sessionMean / 2
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
+	return &Rejection{Kind: KindNotFresh, Replica: r.id, Reason: lvl.String(),
+		RetryAfter: clampRetry(c.opts.sessionMean / 2)}
 }
 
 // countRead bumps the per-level read counter when observability is on.
@@ -483,20 +426,11 @@ func (c *Cluster) freshestVersion(key string) (store.Versioned, bool) {
 		if !ok {
 			continue
 		}
-		if !found || strongerVersion(v, want) {
+		if !found || want.Older(v) {
 			want, found = v, true
 		}
 	}
 	return want, found
-}
-
-// strongerVersion mirrors the store's LWW order: higher Lamport clock
-// wins, ties broken by the timestamp total order.
-func strongerVersion(v, cur store.Versioned) bool {
-	if v.Clock != cur.Clock {
-		return v.Clock > cur.Clock
-	}
-	return v.TS.Compare(cur.TS) > 0
 }
 
 // TokenCovered reports whether replica id's applied coverage already
@@ -518,8 +452,8 @@ func (c *Cluster) TokenCovered(id NodeID, tok *Token) bool {
 }
 
 // Session binds a token to a cluster with per-session wait parameters — the
-// convenience surface over WriteSession/ReadLeveled. Not safe for
-// concurrent use; one session is one logical client.
+// convenience surface over WriteToken/ReadLeveled. Not safe for concurrent
+// use; one session is one logical client.
 type Session struct {
 	c *Cluster
 	// MaxLag is the staleness bound LevelBounded reads enforce.
@@ -534,15 +468,10 @@ type Session struct {
 // NewSession starts an empty session against the cluster.
 func (c *Cluster) NewSession() *Session { return &Session{c: c} }
 
-// Token exposes the session's live token (e.g. to persist it across
-// processes via its binary encoding). The pointer stays valid for the
-// session's lifetime.
-func (s *Session) Token() *Token { return &s.tok }
-
 // Write performs a session write at replica id: the acknowledged position
 // joins the token.
 func (s *Session) Write(id NodeID, key string, value []byte) (WriteReceipt, error) {
-	return s.c.WriteSession(id, key, value, &s.tok)
+	return s.c.WriteToken(id, key, value, &s.tok)
 }
 
 // Read serves a session-level read at replica id (read-your-writes +
@@ -590,20 +519,20 @@ func (m *appliedMark) reset(lg *wlog.Log) {
 	m.snap.Store(lg.Summary())
 }
 
-// readCovered is the session-read fast path probe. A token whose cache
-// pins the current snapshot is covered by one pointer compare; otherwise
-// one pass over the snapshot returns the watermark's lag behind the token
-// and whether it is within maxLag. When covered exactly (lag 0) and merge
-// is set, the snapshot is folded into the token (the monotonic-reads
-// update) and the cache re-pins, so a session parked on one replica pays
-// the pass only when the replica's coverage advances.
-func (m *appliedMark) readCovered(tok *Token, maxLag uint64, merge bool) (lag uint64, ok bool) {
+// readCovered is the session-read probe. A token whose cache pins the
+// current snapshot is covered by one pointer compare; otherwise one pass
+// over the snapshot reports whether the watermark's lag behind the token is
+// within maxLag. When covered exactly (lag 0) and merge is set, the
+// snapshot is folded into the token (the monotonic-reads update) and the
+// cache re-pins, so a session parked on one replica pays the pass only when
+// the replica's coverage advances.
+func (m *appliedMark) readCovered(tok *Token, maxLag uint64, merge bool) bool {
 	sum := m.snap.Load()
 	if sum != nil && tok.covered == sum {
-		return 0, true
+		return true
 	}
 	lag, gains := sum.LagDelta(&tok.sum)
-	ok = lag <= maxLag
+	ok := lag <= maxLag
 	if ok && merge {
 		if gains {
 			tok.sum.Merge(sum)
@@ -612,7 +541,7 @@ func (m *appliedMark) readCovered(tok *Token, maxLag uint64, merge bool) (lag ui
 			tok.covered = sum
 		}
 	}
-	return lag, ok
+	return ok
 }
 
 // lagBehind returns how many writes want covers that the watermark does
@@ -701,9 +630,10 @@ func (q *freshQueue) remove(w *freshWaiter) bool {
 
 // waitFresh parks the calling read until replica r's applied coverage
 // satisfies the target (want within maxLag, or the single write ts when
-// want is nil), the deadline lapses, or the replica dies. Runs only on the
-// miss path — the covered fast path never calls it.
-func (c *Cluster) waitFresh(r *replica, want *vclock.Summary, ts vclock.Timestamp, maxLag uint64, deadline time.Duration, lvl Level) error {
+// want is nil), opt's deadline lapses, or the replica dies. Runs only on
+// the miss path — the covered fast path never calls it.
+func (c *Cluster) waitFresh(r *replica, want *vclock.Summary, ts vclock.Timestamp, maxLag uint64, opt *LeveledRead) error {
+	deadline := opt.Deadline
 	if deadline <= 0 {
 		deadline = DefaultFreshWait
 	}
@@ -742,9 +672,6 @@ func (c *Cluster) waitFresh(r *replica, want *vclock.Summary, ts vclock.Timestam
 			}
 			return nil
 		}
-		if r.store.Load() == nil {
-			return r.deadError()
-		}
-		return c.notFresh(r, lvl, want, maxLag)
+		return c.notFresh(r, opt.Level)
 	}
 }

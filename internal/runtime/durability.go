@@ -33,13 +33,13 @@ import (
 //     entry that could still be lost in a crash.
 //
 //   - Entries learned from peers are journaled buffered and reach disk
-//     with the next batch fsync or the periodic maintenance sync; losing
+//     with the sync stage's next fsync (every record wakes it); losing
 //     the tail in a crash is safe because anti-entropy re-fetches it (the
 //     recovered summary regresses only for *remote* origins, never for the
 //     replica's own writes).
 //
-//   - A maintenance ticker per replica syncs the buffer, and — when enough
-//     log has accumulated (wal.Options.SnapshotBytes) — captures a
+//   - A maintenance ticker per replica checks the WAL's health, and — when
+//     enough log has accumulated (wal.Options.SnapshotBytes) — captures a
 //     consistent (summary, store, clock) image under the replica lock,
 //     saves it as the new snapshot, and lets the WAL compact sealed
 //     segments the snapshot subsumes. The persisted snapshot also becomes
@@ -82,16 +82,16 @@ func WithDurabilityTuning(opts wal.Options) Option {
 //     never relaxed — and the stall surfaces as repro_wal_sync_stall_seconds.
 //   - Failed sync, batch path: the replica fail-stops before any ack or
 //     fan-out the sync covers escapes (see release).
-//   - Failed sync, maintenance path: the WAL error is sticky, so the
-//     replica fail-stops immediately rather than waiting for the next
-//     client batch to trip over it (see walMaintain).
+//   - Failed sync with no batch waiting on it (peer-learned entries): the
+//     WAL error is sticky, so the next maintenance tick fail-stops the
+//     replica rather than waiting for a client batch to trip over it (see
+//     walMaintain).
 func WithDurabilityFS(fsys vfs.FS) Option {
 	return func(o *options) { o.walFS = fsys }
 }
 
-// walMaintenanceInterval is how often each durable replica syncs its WAL
-// buffer (bounding the at-risk window for peer-learned entries) and checks
-// whether a snapshot is due.
+// walMaintenanceInterval is how often each durable replica checks its
+// WAL's health and whether a snapshot is due.
 const walMaintenanceInterval = 250 * time.Millisecond
 
 // walDir returns replica id's WAL directory under the cluster data dir.
@@ -211,16 +211,18 @@ func (c *Cluster) RestartFromDisk(id NodeID) error {
 	return nil
 }
 
-// walMaintain is the durable replica's periodic housekeeping: sync the WAL
-// buffer, and when enough log has accumulated, capture a consistent state
-// image and roll it into a new snapshot (which compacts sealed segments
-// and advances the in-memory truncation floor).
+// walMaintain is the durable replica's periodic housekeeping: check the
+// WAL's health, and when enough log has accumulated, capture a consistent
+// state image and roll it into a new snapshot (which compacts sealed
+// segments and advances the in-memory truncation floor). It never syncs:
+// every runtime WAL is pipelined and every record wakes its sync stage, so
+// the run goroutine has no flushing to do and never waits on the disk here.
 func (r *replica) walMaintain() {
 	w := r.wal
 	if w == nil {
 		return
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Err(); err != nil {
 		// The WAL error is sticky: nothing this replica buffers can ever
 		// reach disk again, so fail-stop now instead of letting the next
 		// client batch trip over it. walMaintain runs ON the replica's run

@@ -254,7 +254,7 @@ func TestPowerCutLosesNoAckedWrite(t *testing.T) {
 
 // A replica revived from disk after a fail-stop starts with a clean bill of
 // health: it serves, reports no fail reason, and a later administrative
-// Kill reads as "down", not as the long-healed disk fault.
+// Kill reads as "killed", not as the long-healed disk fault.
 func TestRestartFromDiskClearsFailStop(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS, 14)
 	c := durableCluster(t, 2, t.TempDir(), WithDurabilityFS(ffs))
@@ -264,9 +264,9 @@ func TestRestartFromDiskClearsFailStop(t *testing.T) {
 	defer c.Stop()
 
 	ffs.FailSyncs(replicaScope(0))
-	var fs *FailStopError
-	if _, err := c.Write(0, "doomed", []byte("x")); !errors.As(err, &fs) {
-		t.Fatalf("write on a dead disk = %v, want *FailStopError", err)
+	var rej *Rejection
+	if _, err := c.Write(0, "doomed", []byte("x")); !errors.As(err, &rej) || rej.Reason != "io-error" {
+		t.Fatalf("write on a dead disk = %v, want an io-error fail-stop", err)
 	}
 	ffs.HealAll()
 	waitDead(t, c, 0, 2*time.Second)
@@ -279,7 +279,7 @@ func TestRestartFromDiskClearsFailStop(t *testing.T) {
 	if err := c.Kill(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(0, "k", []byte("v")); err == nil || errors.As(err, &fs) {
-		t.Fatalf("write at a killed replica = %v, want a plain down error", err)
+	if _, err := c.Write(0, "k", []byte("v")); !errors.As(err, &rej) || rej.Reason != "killed" || rej.Cause != nil {
+		t.Fatalf("write at a killed replica = %v, want a causeless killed rejection", err)
 	}
 }

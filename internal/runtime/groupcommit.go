@@ -14,7 +14,7 @@ import (
 
 // This file implements the client-plane write path: group commit.
 //
-// Concurrent Cluster.Write calls against one replica land in a per-replica
+// Concurrent client writes against one replica land in a per-replica
 // combining queue. The first writer to find the queue leaderless becomes the
 // commit leader: it drains the queue in batches, folds each batch into the
 // node under ONE replica-lock acquisition via node.ClientWriteBatch (one
@@ -42,8 +42,8 @@ type writeReq struct {
 	deadline int64
 
 	// Filled by the commit leader before signalling done. clock is the
-	// entry's Lamport clock — the LWW order's major key — carried so
-	// WriteReceipted can hand session clients the full version receipt.
+	// entry's Lamport clock — the LWW order's major key — carried so the
+	// write can hand session clients the full version receipt.
 	ts    vclock.Timestamp
 	clock uint64
 	err   error
@@ -280,7 +280,7 @@ func (r *replica) observeSojourn(co *obs.ClusterObs, arrival int64) {
 }
 
 // expireBatch sheds every request whose deadline lapsed while parked,
-// completing it with a deadline OverloadError BEFORE any of the batch
+// completing it with a deadline Rejection BEFORE any of the batch
 // reaches the node or the WAL — an expired write is visibly rejected,
 // never partially applied. It returns the live remainder in arrival
 // order (so ops still align with the entries ClientWriteBatch returns)
@@ -322,7 +322,7 @@ func (r *replica) failStop(cause error) {
 	// Publish the cause before any client can observe the dead state, so
 	// every subsequent rejection carries the fail-stop reason (clients
 	// distinguish shed-and-retry from gone-for-good).
-	r.failCause.Store(&failStopInfo{reason: failStopReason(cause), cause: cause})
+	r.failCause.Store(&Rejection{Kind: KindFailStop, Replica: r.id, Reason: failStopReason(cause), Cause: cause})
 	r.store.Store(nil)
 	id := r.node.ID()
 	cancel, done, ep, w := r.cancel, r.done, r.ep, r.wal

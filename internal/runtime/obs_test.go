@@ -110,6 +110,48 @@ func TestObsReadPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestObsReadAccounting pins what a read is, now that there is one read
+// body: every client read the store serves — plain or leveled — counts
+// exactly once in repro_store_reads_total (the strong level's cross-replica
+// freshest-version probes do not), and repro_client_reads_total{level}
+// counts the leveled ones by level.
+func TestObsReadAccounting(t *testing.T) {
+	c, reg := startObsCluster(t, 3)
+	sess := c.NewSession()
+	if _, err := sess.Write(1, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	const n = 25
+	for i := 0; i < n; i++ {
+		if _, ok, err := c.Read(1, "k"); err != nil || !ok {
+			t.Fatalf("plain read = (%t, %v)", ok, err)
+		}
+		if _, ok, err := sess.Read(1, "k"); err != nil || !ok {
+			t.Fatalf("session read = (%t, %v)", ok, err)
+		}
+	}
+	if reads, _ := c.replicas[1].store.Load().ReadStats(); reads != 2*n {
+		t.Errorf("store counted %d reads after %d plain + %d session reads, want %d", reads, n, n, 2*n)
+	}
+	if _, ok, err := sess.ReadLevel(1, "k", LevelStrong); err != nil || !ok {
+		t.Fatalf("strong read = (%t, %v)", ok, err)
+	}
+	var total uint64
+	for _, r := range c.replicas {
+		reads, _ := r.store.Load().ReadStats()
+		total += reads
+	}
+	if total != 2*n+1 {
+		t.Errorf("stores counted %d reads cluster-wide, want %d: a strong read's probes of the other replicas were counted", total, 2*n+1)
+	}
+	if got := reg.Total("repro_store_reads_total"); got != 2*n+1 {
+		t.Errorf("repro_store_reads_total = %v, want %d", got, 2*n+1)
+	}
+	if got := reg.Total("repro_client_reads_total"); got != n+1 {
+		t.Errorf("repro_client_reads_total = %v, want the %d leveled reads", got, n+1)
+	}
+}
+
 // TestObsScrapeSurvivesChurn: the polled closures read replica state through
 // pointers that swap on kill/restart, so a scrape must stay correct (and not
 // panic) across the whole churn cycle.

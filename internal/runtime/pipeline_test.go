@@ -232,9 +232,14 @@ type heldPeer struct {
 	wal  *wal.Log   // replica 0's WAL, this incarnation
 	need uint64     // the record that must be durable before "held" may leave
 	done chan error // the held write's verdict
+	// started is just before replica 0's run loop (and its maintenance
+	// ticker) started.
+	started time.Time
 }
 
-const heldStall = 150 * time.Millisecond
+// heldStall outlasts a WAL maintenance interval, so a tick always lands
+// while the held write's sync is still in flight.
+const heldStall = walMaintenanceInterval + 150*time.Millisecond
 
 // startHeld starts a 2-replica durable cluster, takes over replica 1, and
 // parks the write "held" at replica 0 behind a heldStall sync (which fails
@@ -250,6 +255,7 @@ func startHeld(t *testing.T, failSync bool) *heldPeer {
 		WithSessionInterval(time.Hour), WithAdvertInterval(time.Hour))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	started := time.Now()
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +263,7 @@ func startHeld(t *testing.T, failSync bool) *heldPeer {
 	if err := c.Kill(1); err != nil {
 		t.Fatal(err)
 	}
-	p := &heldPeer{t: t, c: c, ffs: ffs, reg: reg, ep: c.net.Attach(1), done: make(chan error, 1)}
+	p := &heldPeer{t: t, c: c, ffs: ffs, reg: reg, ep: c.net.Attach(1), done: make(chan error, 1), started: started}
 	if _, err := c.Write(0, "warm", []byte("up")); err != nil {
 		t.Fatal(err)
 	}
@@ -343,33 +349,45 @@ func (p *heldPeer) next(within time.Duration, want func(protocol.Envelope) bool)
 // TestReleaseStageKeepsRunLoopResponsive: with an entry-carrying reply held
 // behind a slow sync, replica 0 still answers a session request and a fast
 // offer at once — before the disk covers the held record, so the run loop
-// cannot have waited for it — and the held reply leaves only afterwards.
+// cannot have waited for it — and again after a WAL maintenance tick has
+// fired under the same stalled sync (the tick checks health and never
+// flushes, so it cannot have waited either). The held reply leaves only
+// afterwards.
 func TestReleaseStageKeepsRunLoopResponsive(t *testing.T) {
 	p := startHeld(t, false)
+	// answers waits for replica 0 to answer what was just sent, with the
+	// held record still not durable.
+	answers := func(want ...string) {
+		t.Helper()
+		missing := make(map[string]bool, len(want))
+		for _, w := range want {
+			missing[w] = true
+		}
+		for len(missing) > 0 {
+			env, ok := p.next(5*time.Second, func(env protocol.Envelope) bool {
+				return missing[fmt.Sprintf("%T", env.Msg)] || carriesHeld(env)
+			})
+			if !ok {
+				t.Fatalf("replica 0 never answered %v while a gated reply was pending", want)
+			}
+			if carriesHeld(env) {
+				t.Fatal("the gated reply overtook requests handled after it: the run loop waited on the disk")
+			}
+			if d := p.wal.Durable(); d >= p.need {
+				t.Fatalf("answer arrived only after the held record was durable (%d >= %d): the run loop waited on the disk", d, p.need)
+			}
+			delete(missing, fmt.Sprintf("%T", env.Msg))
+		}
+	}
 	p.send(protocol.SessionRequest{SessionID: 2 << 40})
 	p.send(protocol.FastOffer{IDs: []vclock.Timestamp{{Node: 1, Seq: 999}}})
-	var sawSummary, sawReply bool
-	for !sawSummary || !sawReply {
-		env, ok := p.next(5*time.Second, func(env protocol.Envelope) bool {
-			switch env.Msg.(type) {
-			case protocol.SummaryMsg, protocol.FastReply:
-				return true
-			}
-			return carriesHeld(env)
-		})
-		if !ok {
-			t.Fatal("replica 0 never answered while a gated reply was pending")
-		}
-		if carriesHeld(env) {
-			t.Fatal("the gated reply overtook requests handled after it: the run loop waited on the disk")
-		}
-		if d := p.wal.Durable(); d >= p.need {
-			t.Fatalf("answer arrived only after the held record was durable (%d >= %d): the run loop waited on the disk", d, p.need)
-		}
-		_, isSummary := env.Msg.(protocol.SummaryMsg)
-		sawSummary = sawSummary || isSummary
-		sawReply = sawReply || !isSummary
-	}
+	answers("protocol.SummaryMsg", "protocol.FastReply")
+
+	// heldStall keeps the sync in flight past the tick.
+	time.Sleep(time.Until(p.started.Add(walMaintenanceInterval + 20*time.Millisecond)))
+	p.send(protocol.SessionRequest{SessionID: 3 << 40})
+	answers("protocol.SummaryMsg")
+
 	if _, ok := p.next(5*time.Second, carriesHeld); !ok {
 		t.Fatal("the held reply never left after its covering sync")
 	}
@@ -420,9 +438,9 @@ func TestReleaseStageDropsQueuedEnvelopesOnKill(t *testing.T) {
 // the same verdict the commit batch ahead of them gets.
 func TestReleaseStageDropsQueuedEnvelopesOnSyncError(t *testing.T) {
 	p := startHeld(t, true)
-	var fse *FailStopError
-	if err := <-p.done; !errors.As(err, &fse) {
-		t.Fatalf("held write returned %v, want a *FailStopError", err)
+	var rej *Rejection
+	if err := <-p.done; !errors.As(err, &rej) || rej.Cause == nil {
+		t.Fatalf("held write returned %v, want a fail-stop rejection carrying the sync error", err)
 	}
 	if _, _, err := p.c.Read(0, "warm"); err == nil {
 		t.Fatal("replica 0 still serves after its covering sync failed")

@@ -48,7 +48,6 @@ type options struct {
 	advertInterval time.Duration
 	policy         policy.Factory
 	fastPush       bool
-	fanOut         int
 	seed           int64
 	netCfg         transport.MemoryConfig
 	measuredTau    time.Duration // > 0 enables measured demand
@@ -57,15 +56,13 @@ type options struct {
 	walFS          vfs.FS          // nil = the real filesystem (vfs.OS)
 	obs            *obs.ClusterObs // non-nil enables the observability plane
 	admission      AdmissionConfig // always normalised; see WithAdmission
-	tcpOpts        []transport.TCPOption
 }
 
 // walOptions is the effective WAL configuration: the tuned geometry plus
 // the injected filesystem, if any. Every wal.Open in the runtime goes
 // through this so fault-injected clusters never touch the real disk path,
 // and every open WAL reports its sync latency into the observability
-// plane's fsync histogram (maintenance syncs and pipelined sync-stage
-// flushes alike).
+// plane's fsync histogram.
 func (o *options) walOptions() wal.Options {
 	opts := o.walOpts
 	if o.walFS != nil {
@@ -85,7 +82,6 @@ func defaultOptions() options {
 		advertInterval: 20 * time.Millisecond,
 		policy:         policy.NewDynamicOrdered,
 		fastPush:       true,
-		fanOut:         1,
 		seed:           1,
 		// Durable clusters preallocate WAL segments by default so the
 		// pipelined sync stage's fdatasync skips the per-sync inode size
@@ -98,13 +94,6 @@ func defaultOptions() options {
 		// nothing.
 		admission: AdmissionConfig{Target: -1}.normalized(),
 	}
-}
-
-// WithTCPOptions forwards transport options (send-stall timeout, stall
-// observer) to the TCP endpoints a NewTCP cluster listens on. Ignored by
-// memory-backed clusters.
-func WithTCPOptions(topts ...transport.TCPOption) Option {
-	return func(o *options) { o.tcpOpts = append(o.tcpOpts, topts...) }
 }
 
 // WithSessionInterval sets the mean anti-entropy interval per replica
@@ -127,11 +116,6 @@ func WithPolicy(f policy.Factory) Option {
 // WithFastPush toggles the fast-update chains (default on).
 func WithFastPush(enabled bool) Option {
 	return func(o *options) { o.fastPush = enabled }
-}
-
-// WithFanOut sets the fast-offer fan-out (default 1).
-func WithFanOut(n int) Option {
-	return func(o *options) { o.fanOut = n }
 }
 
 // WithSeed seeds all per-replica RNGs deterministically.
@@ -251,7 +235,6 @@ func (c *Cluster) newNode(r *replica) *node.Node {
 		Neighbors: nbrs,
 		Selector:  c.opts.policy(r.id, nbrs),
 		FastPush:  c.opts.fastPush,
-		FanOut:    c.opts.fanOut,
 		Demand:    demandSource(&c.opts, r, c.field, r.id),
 		Observer:  nodeObserver(&c.opts, r.id),
 	})
@@ -601,7 +584,17 @@ func (c *Cluster) Stop() {
 // fields and node logic.
 func (c *Cluster) now() float64 { return time.Since(c.start).Seconds() }
 
-// Write injects a client write at the given replica and returns the entry.
+// Write injects a client write at the given replica and returns its
+// timestamp: WriteToken without a session, receipt trimmed.
+func (c *Cluster) Write(id NodeID, key string, value []byte) (vclock.Timestamp, error) {
+	rec, err := c.WriteToken(id, key, value, nil)
+	return rec.TS, err
+}
+
+// WriteToken is the one client write: it injects the write at replica id,
+// returns the full version receipt, and — when tok is non-nil — folds the
+// acknowledged position into that session token, so subsequent session
+// reads anywhere observe it.
 //
 // Concurrent writes to one replica group-commit: they park in the replica's
 // write-combining queue and a leader folds the whole batch into the node
@@ -611,19 +604,10 @@ func (c *Cluster) now() float64 { return time.Since(c.start).Seconds() }
 //
 // Writes may be shed by the admission plane (bounded queue, CoDel-style
 // sojourn controller, per-write deadline — see admission.go): a shed
-// write returns an *OverloadError matching ErrOverload, always BEFORE the
-// write reaches the node or the WAL, so it is visibly rejected and never
-// partially applied.
-func (c *Cluster) Write(id NodeID, key string, value []byte) (vclock.Timestamp, error) {
-	rec, err := c.WriteReceipted(id, key, value)
-	return rec.TS, err
-}
-
-// WriteReceipted is Write returning the full version receipt — timestamp
-// plus the Lamport clock the LWW resolution orders by. Session clients fold
-// the receipt into their token; invariant checkers (the chaos session
-// oracle) compare receipts against later reads.
-func (c *Cluster) WriteReceipted(id NodeID, key string, value []byte) (WriteReceipt, error) {
+// write returns a KindOverload *Rejection matching ErrOverload, always
+// BEFORE the write reaches the node or the WAL, so it is visibly rejected
+// and never partially applied.
+func (c *Cluster) WriteToken(id NodeID, key string, value []byte, tok *Token) (WriteReceipt, error) {
 	if int(id) < 0 || int(id) >= len(c.replicas) {
 		return WriteReceipt{}, fmt.Errorf("runtime: no replica %v", id)
 	}
@@ -656,29 +640,20 @@ func (c *Cluster) WriteReceipted(id NodeID, key string, value []byte) (WriteRece
 	rec, err := WriteReceipt{TS: req.ts, Clock: req.clock}, req.err
 	req.key, req.value = "", nil
 	writeReqPool.Put(req)
+	if err == nil && tok != nil {
+		tok.ObserveWrite(rec.TS)
+	}
 	return rec, err
 }
 
-// Read serves a client read at a replica. Reads at a killed replica fail —
-// a crashed server cannot serve — matching Write. The returned slice is a
-// read-only view of replicated content (store immutability contract);
-// callers that need a mutable buffer copy it.
-//
-// The read path never acquires the replica lock: the store pointer is
-// published atomically (nil while the replica is dead), the demand meter is
-// atomic, and the store itself is hash-striped, so concurrent reads scale
-// with cores instead of serialising per replica.
+// Read serves a plain client read at a replica: the one read body (serve,
+// consistency.go) without read parameters, then the value alone. The
+// returned slice is a read-only view of replicated content (store
+// immutability contract); callers that need a mutable buffer copy it.
 func (c *Cluster) Read(id NodeID, key string) ([]byte, bool, error) {
-	if int(id) < 0 || int(id) >= len(c.replicas) {
-		return nil, false, fmt.Errorf("runtime: no replica %v", id)
-	}
-	r := c.replicas[id]
-	st := r.store.Load()
-	if st == nil {
-		return nil, false, r.deadError()
-	}
-	if r.meter != nil {
-		r.meter.Record(time.Now())
+	st, err := c.serve(id, key, nil)
+	if err != nil {
+		return nil, false, err
 	}
 	v, ok := st.Get(key)
 	return v, ok, nil
@@ -943,14 +918,15 @@ type replica struct {
 	// controller; see admission.go). All-atomic: consulted by the write
 	// fast path and fed by the commit leader, lock-free on both sides.
 	adm admission
-	// failCause records why the replica fail-stopped (nil otherwise), so
-	// dead-replica error paths and health probes can report the reason
-	// without the replica lock. Set by failStop, cleared by revive.
-	failCause atomic.Pointer[failStopInfo]
+	// failCause is the rejection every client op at a fail-stopped replica
+	// receives (nil otherwise), so dead-replica error paths and health probes
+	// can report the reason without the replica lock. Set by failStop,
+	// cleared by revive.
+	failCause atomic.Pointer[Rejection]
 	// wal is the durable persistence plane (nil unless WithDurability).
-	// Journaling happens through the node's journal hook under mu; Sync is
-	// internally locked, so the commit leader and the maintenance ticker
-	// may sync concurrently. Swapped on restart under mu.
+	// Journaling happens through the node's journal hook under mu; the
+	// WAL's own sync stage is the only steady-state flusher. Swapped on
+	// restart under mu.
 	wal *wal.Log
 	mu  sync.Mutex
 
@@ -1028,7 +1004,7 @@ func (r *replica) spawn(parent context.Context, wg *sync.WaitGroup) {
 
 // run is the replica's one event loop: inbound envelopes, the anti-entropy
 // session timer, the demand-advert ticker and — on durable replicas — the
-// WAL maintenance tick (buffer sync, snapshot rollover). Memory replicas
+// WAL maintenance tick (health check, snapshot rollover). Memory replicas
 // leave maint nil: select drops nil-channel cases before it polls or locks
 // anything, so they pay nothing for the case they can never take.
 func (r *replica) run(ctx context.Context) {

@@ -31,7 +31,7 @@ func NewTCP(g *topology.Graph, field demand.Field, addrHost string, opts ...Opti
 		absorbed: store.New(),
 		// net stays nil for TCP clusters; Stop closes endpoints directly.
 	}
-	topts := o.tcpOpts
+	var topts []transport.TCPOption
 	if co := o.obs; co != nil {
 		c.goodput = newDemandMeter(time.Second)
 		// Stalled sends feed the stall-duration histogram whether the
@@ -40,10 +40,9 @@ func NewTCP(g *topology.Graph, field demand.Field, addrHost string, opts ...Opti
 		stallSeconds := co.Reg.Histogram("repro_tcp_send_stall_seconds",
 			"Time sends spent blocked on a full TCP peer queue before enqueueing late or dropping.",
 			obs.LatencyBuckets, co.Labels...)
-		topts = append(append([]transport.TCPOption(nil), topts...),
-			transport.WithStallObserver(func(wait time.Duration, dropped bool) {
-				stallSeconds.Observe(wait.Seconds())
-			}))
+		topts = append(topts, transport.WithStallObserver(func(wait time.Duration, dropped bool) {
+			stallSeconds.Observe(wait.Seconds())
+		}))
 	}
 	endpoints := make([]*transport.TCP, g.N())
 	for i := 0; i < g.N(); i++ {

@@ -10,8 +10,11 @@ import (
 // GroupSpec describes one shard's replica group before it is built: a name
 // for the ring, a sub-topology, and the demand field its replicas see.
 type GroupSpec struct {
-	Name  string
+	// Name is the group's ring name (unique within a router).
+	Name string
+	// Graph is the group's own connected sub-topology, node ids 0..k-1.
 	Graph *topology.Graph
+	// Field is the demand its replicas see, indexed by those local ids.
 	Field demand.Field
 }
 

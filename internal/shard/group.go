@@ -22,6 +22,8 @@ type NodeID = vclock.NodeID
 // RoutePolicy selects which replica of the owning group serves an op.
 type RoutePolicy int
 
+// The routing policies; dead and shedding replicas are avoided under all of
+// them (see Group.pick).
 const (
 	// RouteLowestDemand sends the op to the replica with the lowest
 	// current demand — the least-loaded server, the router's default.
@@ -154,58 +156,72 @@ func (g *Group) now() float64 {
 }
 
 // pick chooses the replica that should serve the next op under the policy.
-func (g *Group) pick(p RoutePolicy) NodeID {
+// tok is the session token a non-eventual read gates on, nil for every
+// other op (a nil token is covered everywhere, as Cluster.TokenCovered
+// says). One scan ranks the replicas: dead ones are skipped so routing
+// survives faults; replicas whose admission controller is currently
+// shedding are avoided so new ops reroute around saturation — unless every
+// live replica is shedding, in which case load spreads across them as
+// before (rerouting everything onto one "least bad" replica would only
+// deepen its queue); and among the healthy ones a replica already covering
+// tok wins, because a read there needs no freshness wait. Demand (max under
+// RouteHighestDemand, else min) breaks ties within a rank; RouteRandom
+// draws uniformly unless a covering replica exists. It runs on every routed
+// op, so every probe is one of the cluster's lock-free ones (Serving,
+// Overloaded, TokenCovered), not Alive (which takes the replica lock).
+func (g *Group) pick(p RoutePolicy, tok *runtime.Token) NodeID {
 	n := g.cluster.N()
 	if n == 1 {
 		return 0
 	}
-	switch p {
-	case RouteRandom:
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return NodeID(g.rng.Intn(n))
-	case RouteHighestDemand:
-		return g.argDemand(true)
-	default:
-		return g.argDemand(false)
+	if p == RouteRandom && tok == nil {
+		return g.random(n)
 	}
-}
-
-// argDemand returns the live replica with extreme demand (max when highest,
-// else min). Dead replicas are skipped so routing survives faults, and
-// replicas whose admission controller is currently shedding are avoided so
-// new ops reroute around saturation — unless every live replica is
-// shedding, in which case load spreads across them as before (rerouting
-// everything onto one "least bad" replica would only deepen its queue).
-// It runs on every routed op, so both probes are the cluster's lock-free
-// ones (Serving, Overloaded), not Alive (which takes the replica lock).
-func (g *Group) argDemand(highest bool) NodeID {
+	// rank orders replicas within a tier: lowest demand first, or — the sign
+	// flipped — highest first.
+	rank := 1.0
+	if p == RouteHighestDemand {
+		rank = -1
+	}
 	now := g.now()
 	started := g.started()
-	best := NodeID(-1)
-	bestD := 0.0
-	fallback, fallbackD := NodeID(0), 0.0
-	haveFallback := false
-	for i := 0; i < g.cluster.N(); i++ {
+	covering, best, fallback := NodeID(-1), NodeID(-1), NodeID(-1)
+	var coveringK, bestK, fallbackK float64
+	for i := 0; i < n; i++ {
 		id := NodeID(i)
 		if started && !g.cluster.Serving(id) {
 			continue
 		}
-		d := g.field.At(id, now)
-		if !haveFallback || (highest && d > fallbackD) || (!highest && d < fallbackD) {
-			fallback, fallbackD, haveFallback = id, d, true
+		k := rank * g.field.At(id, now)
+		if fallback < 0 || k < fallbackK {
+			fallback, fallbackK = id, k
 		}
 		if g.cluster.Overloaded(id) {
 			continue
 		}
-		if best < 0 || (highest && d > bestD) || (!highest && d < bestD) {
-			best, bestD = id, d
+		if best < 0 || k < bestK {
+			best, bestK = id, k
+		}
+		if tok != nil && (covering < 0 || k < coveringK) && g.cluster.TokenCovered(id, tok) {
+			covering, coveringK = id, k
 		}
 	}
-	if best >= 0 {
+	switch {
+	case covering >= 0:
+		return covering
+	case p == RouteRandom:
+		return g.random(n)
+	case best >= 0:
 		return best
 	}
-	return fallback
+	return max(fallback, 0) // replica 0 when nothing serves at all
+}
+
+// random draws a uniformly random replica (RouteRandom).
+func (g *Group) random(n int) NodeID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return NodeID(g.rng.Intn(n))
 }
 
 // Health snapshots the group's per-replica client-plane health.
@@ -234,10 +250,10 @@ type GroupHealth struct {
 	// Serving counts replicas currently accepting client operations;
 	// Overloaded those currently shedding.
 	Serving, Overloaded int
-	// QueueDepth is the parked client writes summed across replicas; Shed
-	// the writes shed since construction, all replicas and reasons.
+	// QueueDepth is the parked client writes summed across replicas.
 	QueueDepth int
-	Shed       uint64
+	// Shed is the writes shed since construction, all replicas and reasons.
+	Shed uint64
 }
 
 // Saturated reports whether every serving replica of the group is

@@ -41,12 +41,15 @@ type Config struct {
 }
 
 // Receipt identifies a routed write: which shard accepted it, at which
-// replica, and the write's timestamp within that group. Pass it to Watch to
+// replica, and the write's version within that group. Pass it to Watch to
 // observe the write's propagation across the owning group.
 type Receipt struct {
+	// Shard names the owning group.
 	Shard string
-	Node  NodeID
-	TS    vclock.Timestamp
+	// Node is the replica of that group that acknowledged the write.
+	Node NodeID
+	// TS is the write's (origin, sequence) position within the group.
+	TS vclock.Timestamp
 	// Clock is the write's Lamport clock within its group — its position in
 	// the store's LWW version order (clock major, TS tiebreak).
 	Clock uint64
@@ -240,12 +243,36 @@ func (r *Router) OwnerOf(key string) (string, bool) { return r.ring.Owner(key) }
 
 // Write routes a client write to the owning group's serving replica.
 func (r *Router) Write(key string, value []byte) (Receipt, error) {
+	return r.write(key, value, nil)
+}
+
+// Read routes a client read to the owning group's serving replica. The
+// returned slice is a read-only view of replicated content (store
+// immutability contract); callers that need a mutable buffer copy it.
+func (r *Router) Read(key string) ([]byte, bool, error) {
+	g, id, _, err := r.routeRead(key, nil, runtime.LevelEventual)
+	if err != nil {
+		return nil, false, err
+	}
+	v, ok, err := g.cluster.Read(id, key)
+	g.readDone(err)
+	return v, ok, err
+}
+
+// write is the one routed write: resolve the owning group, pick its serving
+// replica, write there. A non-nil session folds the acknowledged position
+// into its token for that group; nil is a plain write.
+func (r *Router) write(key string, value []byte, s *Session) (Receipt, error) {
 	g, err := r.route(key)
 	if err != nil {
 		return Receipt{}, err
 	}
-	id := g.pick(r.cfg.Routing)
-	rec, err := g.cluster.WriteReceipted(id, key, value)
+	var tok *runtime.Token
+	if s != nil {
+		tok = s.token(g.name)
+	}
+	id := g.pick(r.cfg.Routing, nil)
+	rec, err := g.cluster.WriteToken(id, key, value, tok)
 	if err != nil {
 		if g.obsWriteErr != nil {
 			g.obsWriteErr.Inc()
@@ -258,22 +285,39 @@ func (r *Router) Write(key string, value []byte) (Receipt, error) {
 	return Receipt{Shard: g.name, Node: id, TS: rec.TS, Clock: rec.Clock}, nil
 }
 
-// Read routes a client read to the owning group's serving replica. The
-// returned slice is a read-only view of replicated content (store
-// immutability contract); callers that need a mutable buffer copy it.
-func (r *Router) Read(key string) ([]byte, bool, error) {
+// routeRead is the one routed read, up to the cluster call its two faces
+// (Router.Read, Session.ReadVersioned) finish with: the owning group, the
+// replica that should serve, and — for a session — the read parameters
+// carrying its token for that group and its wait parameters. A session's
+// read is routed token-aware: session, bounded and strong reads all gate on
+// the token (strong subsumes session), so among the group's healthy
+// replicas one already covering it is preferred and the read lands where
+// it needs no freshness wait whenever such a replica exists. A nil session
+// is a plain read.
+func (r *Router) routeRead(key string, s *Session, lvl runtime.Level) (*Group, NodeID, *runtime.LeveledRead, error) {
 	g, err := r.route(key)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, nil, err
 	}
-	v, ok, err := g.cluster.Read(g.pick(r.cfg.Routing), key)
+	if s == nil {
+		return g, g.pick(r.cfg.Routing, nil), nil, nil
+	}
+	tok := s.token(g.name)
+	s.opt = runtime.LeveledRead{Level: lvl, Token: tok, MaxLag: s.MaxLag, Deadline: s.Deadline}
+	if lvl == runtime.LevelEventual {
+		tok = nil // an eventual read gates on nothing: plain pick
+	}
+	return g, g.pick(r.cfg.Routing, tok), &s.opt, nil
+}
+
+// readDone counts one routed read's outcome.
+func (g *Group) readDone(err error) {
 	switch {
 	case err != nil && g.obsReadErr != nil:
 		g.obsReadErr.Inc()
 	case err == nil && g.obsReads != nil:
 		g.obsReads.Inc()
 	}
-	return v, ok, err
 }
 
 // Watch observes a routed write propagating across its owning group (a
@@ -474,19 +518,6 @@ func (r *Router) AddShard(spec GroupSpec) error {
 	}
 	return nil
 }
-
-// Target adapts the router to op-stream drivers (it satisfies
-// workload.Target structurally): write receipts are discarded.
-type Target struct{ Router *Router }
-
-// Write routes a write, discarding the receipt.
-func (t Target) Write(key string, value []byte) error {
-	_, err := t.Router.Write(key, value)
-	return err
-}
-
-// Read routes a read.
-func (t Target) Read(key string) ([]byte, bool, error) { return t.Router.Read(key) }
 
 // RemoveShard shrinks the keyspace: every key the shard held is handed off
 // to its post-removal ring owner (the same version-preserving content

@@ -61,28 +61,7 @@ func (s *Session) token(shard string) *runtime.Token {
 // shard's token, so later session reads of any key in that shard observe
 // it.
 func (s *Session) Write(key string, value []byte) (Receipt, error) {
-	g, err := s.r.route(key)
-	if err != nil {
-		return Receipt{}, err
-	}
-	id := g.pick(s.r.cfg.Routing)
-	rec, err := g.cluster.WriteSession(id, key, value, s.token(g.name))
-	if err != nil {
-		if g.obsWriteErr != nil {
-			g.obsWriteErr.Inc()
-		}
-		return Receipt{}, fmt.Errorf("shard: write to %s: %w", g.name, err)
-	}
-	if g.obsWrites != nil {
-		g.obsWrites.Inc()
-	}
-	return Receipt{Shard: g.name, Node: id, TS: rec.TS, Clock: rec.Clock}, nil
-}
-
-// Read serves a session-level read (read-your-writes + monotonic reads).
-func (s *Session) Read(key string) ([]byte, bool, error) {
-	v, ok, err := s.ReadVersioned(key, runtime.LevelSession)
-	return v.Value, ok, err
+	return s.r.write(key, value, s)
 }
 
 // ReadLevel serves a read at an explicit consistency level.
@@ -91,32 +70,15 @@ func (s *Session) ReadLevel(key string, lvl runtime.Level) ([]byte, bool, error)
 	return v.Value, ok, err
 }
 
-// ReadVersioned serves a leveled read returning the full version, routed
-// token-aware: among the owning group's healthy replicas, one already
-// covering the session's token is preferred, so session reads land where
-// they need no freshness wait whenever such a replica exists.
+// ReadVersioned is ReadLevel returning the full version, so callers (caches,
+// invariant oracles) can order what they observed.
 func (s *Session) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
-	g, err := s.r.route(key)
+	g, id, opt, err := s.r.routeRead(key, s, lvl)
 	if err != nil {
 		return store.Versioned{}, false, err
 	}
-	tok := s.token(g.name)
-	var id NodeID
-	if lvl == runtime.LevelEventual {
-		id = g.pick(s.r.cfg.Routing)
-	} else {
-		// Session, bounded and strong reads all gate on the token (strong
-		// subsumes session), so a covering replica is the cheaper server.
-		id = g.pickToken(s.r.cfg.Routing, tok)
-	}
-	s.opt = runtime.LeveledRead{Level: lvl, Token: tok, MaxLag: s.MaxLag, Deadline: s.Deadline}
-	v, ok, err := g.cluster.ReadLeveled(id, key, &s.opt)
-	switch {
-	case err != nil && g.obsReadErr != nil:
-		g.obsReadErr.Inc()
-	case err == nil && g.obsReads != nil:
-		g.obsReads.Inc()
-	}
+	v, ok, err := g.cluster.ReadLeveled(id, key, opt)
+	g.readDone(err)
 	return v, ok, err
 }
 
@@ -202,41 +164,4 @@ func (s *Session) Import(data []byte) error {
 	}
 	s.tokens = tokens
 	return nil
-}
-
-// pickToken chooses the serving replica for a token-carrying read: among
-// serving, non-overloaded replicas those already covering the token are
-// preferred (their reads need no freshness wait), demand breaking ties
-// under the configured policy; when none covers, routing falls back to the
-// plain pick so the read parks at the normally-chosen replica.
-func (g *Group) pickToken(p RoutePolicy, tok *runtime.Token) NodeID {
-	n := g.cluster.N()
-	if n == 1 || tok == nil {
-		return g.pick(p)
-	}
-	highest := p == RouteHighestDemand
-	now := g.now()
-	started := g.started()
-	best := NodeID(-1)
-	bestD := 0.0
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		if started && !g.cluster.Serving(id) {
-			continue
-		}
-		if g.cluster.Overloaded(id) {
-			continue
-		}
-		if !g.cluster.TokenCovered(id, tok) {
-			continue
-		}
-		d := g.field.At(id, now)
-		if best < 0 || (highest && d > bestD) || (!highest && d < bestD) {
-			best, bestD = id, d
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	return g.pick(p)
 }

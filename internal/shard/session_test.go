@@ -22,7 +22,7 @@ func TestSessionReadYourWritesAcrossShards(t *testing.T) {
 		if _, err := s.Write(key, []byte(key+"-v")); err != nil {
 			t.Fatalf("Write(%s): %v", key, err)
 		}
-		v, ok, err := s.Read(key)
+		v, ok, err := s.ReadLevel(key, runtime.LevelSession)
 		if err != nil {
 			t.Fatalf("Read(%s): %v", key, err)
 		}
@@ -59,7 +59,7 @@ func TestSessionExportImport(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("xp-%03d", i)
-		v, ok, err := s2.Read(key)
+		v, ok, err := s2.ReadLevel(key, runtime.LevelSession)
 		if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
 			t.Fatalf("imported session Read(%s) = (%q, %t, %v)", key, v, ok, err)
 		}
@@ -127,28 +127,25 @@ func TestPickTokenPrefersCoveringReplica(t *testing.T) {
 	}
 
 	tok := &runtime.Token{}
-	rec, err := g.Cluster().WriteSession(0, "pk", []byte("v"), tok)
+	rec, err := g.Cluster().WriteToken(0, "pk", []byte("v"), tok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = rec
 	// Immediately after the ack, replica 0 is (at least) one covering
-	// replica; pickToken must choose a covering one, whatever demand says.
-	id := g.pickToken(RouteLowestDemand, tok)
-	if !g.Cluster().TokenCovered(id, tok) {
-		t.Fatalf("pickToken chose non-covering replica %v", id)
+	// replica; pick must choose a covering one, whatever demand says —
+	// under every policy, RouteRandom included.
+	for _, p := range []RoutePolicy{RouteLowestDemand, RouteHighestDemand, RouteRandom} {
+		if id := g.pick(p, tok); !g.Cluster().TokenCovered(id, tok) {
+			t.Fatalf("%v: pick chose non-covering replica %v", p, id)
+		}
 	}
-	// A nil token routes exactly like pick.
-	if id := g.pickToken(RouteLowestDemand, nil); int(id) < 0 || int(id) >= g.N() {
-		t.Fatalf("nil-token pick out of range: %v", id)
-	}
-	// A token nobody covers falls back to the plain policy pick.
+	// A token nobody covers routes exactly like no token: the plain policy
+	// pick, where the read then parks.
 	far := &runtime.Token{}
-	far.ObserveWrite(rec.TS)
 	farTS := rec.TS
 	farTS.Seq += 1 << 20
 	far.ObserveWrite(farTS)
-	if id := g.pickToken(RouteLowestDemand, far); int(id) < 0 || int(id) >= g.N() {
-		t.Fatalf("uncovered-token pick out of range: %v", id)
+	if got, want := g.pick(RouteLowestDemand, far), g.pick(RouteLowestDemand, nil); got != want {
+		t.Fatalf("uncovered-token pick = %v, want the plain pick %v", got, want)
 	}
 }

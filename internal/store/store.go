@@ -44,9 +44,21 @@ import (
 
 // Versioned is a stored value together with the write that produced it.
 type Versioned struct {
+	// Value is the stored payload (a read-only view).
 	Value []byte
-	TS    vclock.Timestamp
+	// TS is the producing write's (origin, sequence) position.
+	TS vclock.Timestamp
+	// Clock is that write's Lamport clock, the LWW order's major key.
 	Clock uint64
+}
+
+// Older reports whether v precedes w in the store's last-writer-wins
+// order: lower Lamport clock, ties broken by the total order on timestamps.
+func (v Versioned) Older(w Versioned) bool {
+	if v.Clock != w.Clock {
+		return v.Clock < w.Clock
+	}
+	return v.TS.Compare(w.TS) < 0
 }
 
 // segments is the stripe count — a power of two so the hash folds with a
@@ -112,29 +124,34 @@ func (s *Store) Apply(e wlog.Entry) {
 }
 
 // wins reports whether entry e supersedes the current versioned value under
-// last-writer-wins: higher Lamport clock wins, ties broken by the total
-// order on timestamps.
+// last-writer-wins (see Versioned.Older).
 func wins(e wlog.Entry, cur Versioned) bool {
-	if e.Clock != cur.Clock {
-		return e.Clock > cur.Clock
-	}
-	return e.TS.Compare(cur.TS) > 0
+	return cur.Older(Versioned{TS: e.TS, Clock: e.Clock})
 }
 
-// Get returns the current value for key and whether it exists. It counts as
-// a client read. The returned slice is a read-only view of the stored value;
-// callers must not mutate it. Get takes only a shared segment lock, so
-// concurrent reads never serialise against each other.
+// Read serves a client read of key: the current version and whether it
+// exists, counted once in the key's stripe. The returned value slice is a
+// read-only view; callers must not mutate it. Read takes only a shared
+// segment lock, so concurrent reads never serialise against each other.
+func (s *Store) Read(key string) (Versioned, bool) {
+	sg := s.seg(key)
+	sg.reads.Add(1)
+	sg.mu.RLock()
+	v, ok := sg.kv[key]
+	sg.mu.RUnlock()
+	return v, ok
+}
+
+// Get is Read for callers that want only the value. (It keeps its own
+// lookup: a Versioned is too wide for the compiler to pass in registers,
+// and the plain client read path is this function.)
 func (s *Store) Get(key string) ([]byte, bool) {
 	sg := s.seg(key)
 	sg.reads.Add(1)
 	sg.mu.RLock()
 	v, ok := sg.kv[key]
 	sg.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return v.Value, true
+	return v.Value, ok
 }
 
 // GetVersion returns the version metadata for key without counting a read.

@@ -562,9 +562,9 @@ func (l *Log) sealActiveLocked() error {
 // Sync flushes buffered records and fsyncs the active segment — the
 // inline durability point. Callers that enabled the pipelined sync stage
 // (StartPipeline) normally use WaitDurable instead; Sync remains for
-// maintenance ticks and drivers without a pipeline. With nothing appended
-// since the last sync it is a no-op, so periodic maintenance syncs cost
-// nothing on idle replicas.
+// drivers without a pipeline and for one-off barriers (a restart's
+// full-state record, a handoff's absorption). With nothing appended since
+// the last sync it is a no-op.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

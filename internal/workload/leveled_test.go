@@ -2,88 +2,31 @@ package workload
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/runtime"
+	"repro/internal/store"
 )
 
-// fakeSessionTarget is a fakeTarget that opens sessions whose leveled
-// reads carry a per-level artificial delay — the fixture for the
-// per-level latency split.
-type fakeSessionTarget struct {
-	mu    sync.Mutex
-	kv    map[string][]byte
-	delay [NumLevels]time.Duration
-
-	sessions int
-	reads    [NumLevels]int
-	writes   int
-}
-
-func newFakeSessionTarget() *fakeSessionTarget {
-	return &fakeSessionTarget{kv: make(map[string][]byte)}
-}
-
-func (f *fakeSessionTarget) Write(key string, value []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.kv[key] = append([]byte(nil), value...)
-	f.writes++
-	return nil
-}
-
-func (f *fakeSessionTarget) Read(key string) ([]byte, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.reads[LevelEventual]++
-	v, ok := f.kv[key]
-	return v, ok, nil
-}
-
-func (f *fakeSessionTarget) NewSession() Session {
-	f.mu.Lock()
-	f.sessions++
-	f.mu.Unlock()
-	return &fakeSession{t: f}
-}
-
-type fakeSession struct{ t *fakeSessionTarget }
-
-func (s *fakeSession) Write(key string, value []byte) error {
-	return s.t.Write(key, value)
-}
-
-func (s *fakeSession) Read(key string, lvl Level) ([]byte, bool, error) {
-	s.t.mu.Lock()
-	d := s.t.delay[lvl]
-	s.t.reads[lvl]++
-	v, ok := s.t.kv[key]
-	s.t.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
-	return v, ok, nil
-}
-
 func TestLeveledMixSplitsAcrossLevels(t *testing.T) {
-	target := newFakeSessionTarget()
+	target := newFakeTarget()
 	res := Run(context.Background(), Config{
 		Workers: 4, Ops: 2000, ReadFraction: 0.8, Seed: 5,
 		SessionReads: 0.3, BoundedReads: 0.2, StrongReads: 0.1,
-	}, target)
+	}, target.open)
 
-	if target.sessions != 4 {
-		t.Fatalf("opened %d sessions, want one per worker (4)", target.sessions)
+	if target.opened != 4 {
+		t.Fatalf("opened %d clients, want one per worker (4)", target.opened)
 	}
 	total := 0
-	for lvl := 0; lvl < NumLevels; lvl++ {
+	for lvl := runtime.Level(0); int(lvl) < runtime.NumLevels; lvl++ {
 		total += res.ReadsByLevel[lvl]
-		if res.ReadsByLevel[lvl] == 0 {
-			t.Errorf("level %v issued zero reads", Level(lvl))
+		if res.ReadsByLevel[lvl] == 0 || target.reads[lvl] != res.ReadsByLevel[lvl] {
+			t.Errorf("level %v: result counts %d reads, the target served %d", lvl, res.ReadsByLevel[lvl], target.reads[lvl])
 		}
-		if got := res.ReadLatencyAt(Level(lvl)).N(); got != res.ReadsByLevel[lvl] {
-			t.Errorf("level %v: %d latency samples for %d reads", Level(lvl), got, res.ReadsByLevel[lvl])
+		if got := res.ReadLatencyAt(lvl).N(); got != res.ReadsByLevel[lvl] {
+			t.Errorf("level %v: %d latency samples for %d reads", lvl, got, res.ReadsByLevel[lvl])
 		}
 	}
 	if total != res.Reads {
@@ -91,7 +34,7 @@ func TestLeveledMixSplitsAcrossLevels(t *testing.T) {
 	}
 	// The mix roughly follows the configured fractions (generous bounds —
 	// the draw is per-op random).
-	frac := float64(res.ReadsByLevel[LevelSession]) / float64(res.Reads)
+	frac := float64(res.ReadsByLevel[runtime.LevelSession]) / float64(res.Reads)
 	if frac < 0.15 || frac > 0.45 {
 		t.Errorf("session read fraction %.2f far from configured 0.3", frac)
 	}
@@ -102,15 +45,15 @@ func TestLeveledMixSplitsAcrossLevels(t *testing.T) {
 // must show that slowness in the session sample, not smeared into the
 // eventual sample.
 func TestReadPercentilesSplitPerLevel(t *testing.T) {
-	target := newFakeSessionTarget()
-	target.delay[LevelSession] = 3 * time.Millisecond
+	target := newFakeTarget()
+	target.delay[runtime.LevelSession] = 3 * time.Millisecond
 	res := Run(context.Background(), Config{
 		Workers: 4, Ops: 800, ReadFraction: 0.9, Seed: 7,
 		SessionReads: 0.5,
-	}, target)
+	}, target.open)
 
-	sess := res.ReadLatencyAt(LevelSession)
-	ev := res.ReadLatencyAt(LevelEventual)
+	sess := res.ReadLatencyAt(runtime.LevelSession)
+	ev := res.ReadLatencyAt(runtime.LevelEventual)
 	if sess.N() == 0 || ev.N() == 0 {
 		t.Fatalf("mixed run issued (%d session, %d eventual) reads", sess.N(), ev.N())
 	}
@@ -126,35 +69,34 @@ func TestReadPercentilesSplitPerLevel(t *testing.T) {
 	}
 }
 
-func TestLeveledMixDegradesWithoutSessions(t *testing.T) {
-	// A plain Target cannot open sessions: the leveled fractions must
-	// silently degrade to eventual reads, not fail.
+// TestUnleveledMixIsEventual: a config that asks for no leveled reads
+// issues every read at the eventual level.
+func TestUnleveledMixIsEventual(t *testing.T) {
 	target := newFakeTarget()
 	res := Run(context.Background(), Config{
 		Workers: 2, Ops: 400, ReadFraction: 0.5, Seed: 9,
-		SessionReads: 0.5, StrongReads: 0.5,
-	}, target)
+	}, target.open)
 	if res.Errors != 0 {
-		t.Fatalf("degraded run errored %d times", res.Errors)
+		t.Fatalf("plain run errored %d times", res.Errors)
 	}
-	if res.ReadsByLevel[LevelEventual] != res.Reads {
-		t.Errorf("degraded run issued non-eventual reads: %v", res.ReadsByLevel)
+	if res.ReadsByLevel[runtime.LevelEventual] != res.Reads || target.reads[runtime.LevelEventual] != res.Reads {
+		t.Errorf("plain run issued non-eventual reads: %v (target saw %v)", res.ReadsByLevel, target.reads)
 	}
 }
 
 func TestProgressCountsReadsByLevel(t *testing.T) {
-	target := newFakeSessionTarget()
+	target := newFakeTarget()
 	var prog Progress
 	res := Run(context.Background(), Config{
 		Workers: 2, Ops: 600, ReadFraction: 0.8, Seed: 11,
 		SessionReads: 0.4, Progress: &prog,
-	}, target)
+	}, target.open)
 
 	var sum int64
-	for lvl := 0; lvl < NumLevels; lvl++ {
+	for lvl := runtime.Level(0); int(lvl) < runtime.NumLevels; lvl++ {
 		got := prog.ReadsByLevel[lvl].Load()
 		if int(got) != res.ReadsByLevel[lvl] {
-			t.Errorf("level %v: progress %d != result %d", Level(lvl), got, res.ReadsByLevel[lvl])
+			t.Errorf("level %v: progress %d != result %d", lvl, got, res.ReadsByLevel[lvl])
 		}
 		sum += got
 	}
@@ -163,53 +105,34 @@ func TestProgressCountsReadsByLevel(t *testing.T) {
 	}
 }
 
-// notFreshFake sheds leveled reads with a hinted rejection until a retry
-// arrives, proving read retries flow through the same budget as write
+// notFreshFake sheds the first session read of every key with a not-fresh
+// rejection, proving read retries flow through the same budget as write
 // sheds.
 type notFreshFake struct {
-	fakeSessionTarget
-	mu      sync.Mutex
+	*fakeTarget
 	pending map[string]int
 }
 
-type hintedErr struct{ after time.Duration }
+func (f *notFreshFake) open() Client { return f }
 
-func (e *hintedErr) Error() string                 { return "not fresh" }
-func (e *hintedErr) RetryAfterHint() time.Duration { return e.after }
-
-func (f *notFreshFake) NewSession() Session { return &notFreshSession{t: f} }
-
-type notFreshSession struct{ t *notFreshFake }
-
-func (s *notFreshSession) Write(key string, value []byte) error {
-	return s.t.fakeSessionTarget.Write(key, value)
-}
-
-func (s *notFreshSession) Read(key string, lvl Level) ([]byte, bool, error) {
-	s.t.mu.Lock()
-	if s.t.pending == nil {
-		s.t.pending = make(map[string]int)
+func (f *notFreshFake) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
+	f.pending[key]++
+	if f.pending[key] == 1 && lvl == runtime.LevelSession {
+		return store.Versioned{}, false, &runtime.Rejection{Kind: runtime.KindNotFresh, RetryAfter: time.Millisecond}
 	}
-	first := s.t.pending[key] == 0
-	s.t.pending[key]++
-	s.t.mu.Unlock()
-	if first && lvl == LevelSession {
-		return nil, false, &hintedErr{after: time.Millisecond}
-	}
-	return s.t.fakeSessionTarget.Read(key)
+	return f.fakeTarget.ReadVersioned(key, lvl)
 }
 
 func TestNotFreshReadsRetry(t *testing.T) {
-	target := &notFreshFake{fakeSessionTarget: *newFakeSessionTarget()}
+	target := &notFreshFake{fakeTarget: newFakeTarget(), pending: make(map[string]int)}
 	res := Run(context.Background(), Config{
 		Workers: 1, Ops: 50, ReadFraction: 1, Keys: 8, Seed: 13,
 		SessionReads: 1, RetryBudget: 2, RetryBase: time.Millisecond,
-	}, target)
+	}, target.open)
 	if res.Sheds == 0 || res.Retries == 0 {
 		t.Fatalf("hinted read rejections produced (%d sheds, %d retries), want both > 0", res.Sheds, res.Retries)
 	}
 	if res.Errors != 0 {
 		t.Errorf("retryable sheds leaked %d errors", res.Errors)
 	}
-	_ = errors.Is // keep the import pattern uniform with workload_test.go
 }

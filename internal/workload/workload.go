@@ -16,10 +16,10 @@
 // is charged to it (the standard correction for coordinated omission).
 //
 // Config.RetryBudget adds a client-side retry policy: ops the target shed
-// (rejections exposing a RetryAfterHint, e.g. the runtime's ErrOverload)
-// are retried with jittered exponential backoff — floored at the server's
-// hint — up to the budget. Failures without a hint (dead replica,
-// fail-stop) are never retried: the server said gone, not busy.
+// (a runtime.Rejection carrying a positive RetryAfter — overload sheds and
+// not-fresh reads) are retried with jittered exponential backoff — floored
+// at the server's hint — up to the budget. Every other failure (dead
+// replica, fail-stop) is never retried: the server said gone, not busy.
 //
 // Key popularity follows either a uniform or a Zipf distribution; the Zipf
 // default mirrors the paper's demand model (a few very hot items, a long
@@ -36,70 +36,25 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/runtime"
+	"repro/internal/shard"
+	"repro/internal/store"
 )
 
-// Target is anything that serves the keyspace's read and write ops —
-// a shard router, a single live cluster behind an adapter, or a fake.
-type Target interface {
-	Write(key string, value []byte) error
-	Read(key string) ([]byte, bool, error)
-}
-
-// Level names the consistency level of one read, mirroring the runtime's
-// levels without importing them (the workload package stays structurally
-// decoupled from any particular target).
-type Level int
-
-const (
-	// LevelEventual is a plain read of whatever the replica has.
-	LevelEventual Level = iota
-	// LevelSession demands read-your-writes + monotonic reads.
-	LevelSession
-	// LevelBounded demands bounded staleness.
-	LevelBounded
-	// LevelStrong demands a converged read of the key.
-	LevelStrong
-	// NumLevels sizes per-level arrays.
-	NumLevels = int(LevelStrong) + 1
-)
-
-// String names the level the way flags and result tables spell it.
-func (l Level) String() string {
-	switch l {
-	case LevelEventual:
-		return "eventual"
-	case LevelSession:
-		return "session"
-	case LevelBounded:
-		return "bounded"
-	case LevelStrong:
-		return "strong"
-	}
-	return fmt.Sprintf("Level(%d)", int(l))
-}
-
-// Session is one logical client's sessioned view of a target: writes feed
-// the session's freshness floor and reads enforce a consistency level
-// against it. Implementations are used by a single worker goroutine at a
-// time.
-type Session interface {
-	Write(key string, value []byte) error
-	Read(key string, level Level) ([]byte, bool, error)
-}
-
-// SessionTarget is a Target that can open per-client sessions. When the
-// config asks for a leveled read mix and the target implements this
-// (structurally — shard routers and cluster adapters do), every worker
-// drives its own session; otherwise leveled fractions silently degrade to
-// eventual reads.
-type SessionTarget interface {
-	Target
-	NewSession() Session
+// Client is one logical client's view of the keyspace: writes feed its
+// freshness floor and reads enforce a consistency level against it. The
+// method set is *shard.Session's, so a router session is a Client as is;
+// the interface exists because tests (and the chaos tracker) substitute
+// their own. A Client is used by a single worker goroutine at a time.
+type Client interface {
+	Write(key string, value []byte) (shard.Receipt, error)
+	ReadVersioned(key string, level runtime.Level) (store.Versioned, bool, error)
 }
 
 // KeyDist selects the key-popularity distribution.
 type KeyDist int
 
+// The key-popularity distributions.
 const (
 	// Zipf popularity (skewed; exponent Config.ZipfS). The default.
 	Zipf KeyDist = iota
@@ -152,9 +107,9 @@ type Config struct {
 	// ignored unless OpenLoop).
 	ArrivalRate float64
 	// RetryBudget is the number of times one op may be retried after the
-	// target sheds it (a rejection exposing a RetryAfterHint, e.g. the
-	// runtime's ErrOverload). 0 — the default — disables retries; errors
-	// without a hint are never retried regardless.
+	// target sheds it (a runtime.Rejection with a positive RetryAfter). 0 —
+	// the default — disables retries; other errors are never retried
+	// regardless.
 	RetryBudget int
 	// RetryBase is the first retry's backoff; later attempts double it,
 	// each with ±50% jitter, and the server's retry-after hint acts as a
@@ -162,9 +117,8 @@ type Config struct {
 	RetryBase time.Duration
 	// SessionReads, BoundedReads and StrongReads split the read mix by
 	// consistency level: each is the fraction of *reads* issued at that
-	// level, the remainder staying eventual. They only take effect against
-	// a SessionTarget; fractions summing past 1 are scaled down
-	// proportionally.
+	// level, the remainder staying eventual. Fractions summing past 1 are
+	// scaled down proportionally.
 	SessionReads, BoundedReads, StrongReads float64
 	// Progress, when non-nil, receives live op counts as workers complete
 	// operations — the hook periodic reporters read mid-run, when Result is
@@ -180,8 +134,8 @@ type Progress struct {
 	// every level; ReadsByLevel carries the split.
 	Reads, Writes atomic.Int64
 	// ReadsByLevel counts completed reads per consistency level, indexed
-	// by Level. The sum always equals Reads.
-	ReadsByLevel [NumLevels]atomic.Int64
+	// by runtime.Level. The sum always equals Reads.
+	ReadsByLevel [runtime.NumLevels]atomic.Int64
 	// Errors counts ops the target rejected.
 	Errors atomic.Int64
 	// Sheds counts rejections that carried a retry-after hint (the target
@@ -236,24 +190,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// leveled reports whether the config asks for any non-eventual reads.
-func (c Config) leveled() bool {
-	return c.SessionReads > 0 || c.BoundedReads > 0 || c.StrongReads > 0
-}
-
 // pickLevel draws one read's consistency level from the configured mix.
-func (c Config) pickLevel(rng *rand.Rand) Level {
+func (c Config) pickLevel(rng *rand.Rand) runtime.Level {
+	if c.SessionReads+c.BoundedReads+c.StrongReads == 0 {
+		// No draw: an unleveled config's op stream does not depend on the mix.
+		return runtime.LevelEventual
+	}
 	u := rng.Float64()
 	if u < c.SessionReads {
-		return LevelSession
+		return runtime.LevelSession
 	}
 	if u < c.SessionReads+c.BoundedReads {
-		return LevelBounded
+		return runtime.LevelBounded
 	}
 	if u < c.SessionReads+c.BoundedReads+c.StrongReads {
-		return LevelStrong
+		return runtime.LevelStrong
 	}
-	return LevelEventual
+	return runtime.LevelEventual
 }
 
 // Result summarises one load run.
@@ -276,14 +229,14 @@ type Result struct {
 	// both tails).
 	ReadLatency, WriteLatency *metrics.Sample
 	// ReadLatencyByLevel splits read latency by consistency level, indexed
-	// by Level. Levels never issued hold empty samples.
-	ReadLatencyByLevel [NumLevels]*metrics.Sample
+	// by runtime.Level. Levels never issued hold empty samples.
+	ReadLatencyByLevel [runtime.NumLevels]*metrics.Sample
 	// ReadsByLevel counts completed reads per level; the sum equals Reads.
-	ReadsByLevel [NumLevels]int
+	ReadsByLevel [runtime.NumLevels]int
 }
 
 // ReadLatencyAt returns the latency sample of one consistency level.
-func (r Result) ReadLatencyAt(lvl Level) *metrics.Sample {
+func (r Result) ReadLatencyAt(lvl runtime.Level) *metrics.Sample {
 	return r.ReadLatencyByLevel[lvl]
 }
 
@@ -320,9 +273,13 @@ func keyTable(n int) []string {
 	return keys
 }
 
-// Run drives the target with cfg's op mix until the op budget is spent or
-// ctx expires, whichever comes first.
-func Run(ctx context.Context, cfg Config, target Target) Result {
+// Run drives the keyspace with cfg's op mix until the op budget is spent or
+// ctx expires, whichever comes first. Each worker is one logical client:
+// it calls open once and issues its whole op stream — writes included,
+// read-your-writes needs them on the session's token — through the Client
+// it got (against a router, open is func() Client { return
+// router.NewSession() }).
+func Run(ctx context.Context, cfg Config, open func() Client) Result {
 	cfg = cfg.withDefaults()
 
 	keys := keyTable(cfg.Keys)
@@ -334,7 +291,7 @@ func Run(ctx context.Context, cfg Config, target Target) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w] = runWorker(ctx, cfg, target, int64(w), keys, &issued, start)
+			results[w] = runWorker(ctx, cfg, open(), int64(w), keys, &issued, start)
 		}(w)
 	}
 	wg.Wait()
@@ -370,32 +327,24 @@ type workerResult struct {
 	reads, writes, errors int
 	sheds, retries        int
 	readLat, writeLat     *metrics.Sample
-	readLatLvl            [NumLevels]*metrics.Sample
-	readsLvl              [NumLevels]int
+	readLatLvl            [runtime.NumLevels]*metrics.Sample
+	readsLvl              [runtime.NumLevels]int
 }
 
-// retryHinter matches rejections whose source suggests when to retry —
-// structurally, so the workload package needs no dependency on the runtime
-// that produces them (runtime.OverloadError implements it).
-type retryHinter interface {
-	RetryAfterHint() time.Duration
-	error
-}
-
-// shedHint reports whether err is a shed (overload rejection) and the
-// server's suggested wait when it is.
+// shedHint reports whether err is a shed — a rejection whose source says
+// when to retry (overload, not-fresh), as opposed to one that says gone —
+// and the server's suggested wait when it is.
 func shedHint(err error) (time.Duration, bool) {
-	var h retryHinter
-	if errors.As(err, &h) {
-		return h.RetryAfterHint(), true
+	var rej *runtime.Rejection
+	if errors.As(err, &rej) && rej.RetryAfter > 0 {
+		return rej.RetryAfter, true
 	}
 	return 0, false
 }
 
-// opRetrying issues one op, retrying shed rejections (any error exposing a
-// RetryAfterHint — overload sheds and not-fresh reads alike) with jittered
-// exponential backoff floored at the server's hint, up to cfg.RetryBudget
-// attempts. It returns the final error and the shed/retry counts the
+// opRetrying issues one op, retrying shed rejections (overload sheds and
+// not-fresh reads alike) with jittered exponential backoff floored at the
+// server's hint, up to cfg.RetryBudget attempts. It returns the final error and the shed/retry counts the
 // attempt sequence produced.
 func opRetrying(ctx context.Context, cfg Config, rng *rand.Rand, op func() error) (err error, sheds, retries int) {
 	backoff := cfg.RetryBase
@@ -433,7 +382,7 @@ func opRetrying(ctx context.Context, cfg Config, rng *rand.Rand, op func() error
 // record, repeat until the shared budget is gone. Closed-loop workers
 // issue back-to-back; open-loop workers pace each op to its slot on the
 // shared arrival schedule and measure latency from that scheduled arrival.
-func runWorker(ctx context.Context, cfg Config, target Target, id int64, keys []string, issued *atomic.Int64, start time.Time) workerResult {
+func runWorker(ctx context.Context, cfg Config, client Client, id int64, keys []string, issued *atomic.Int64, start time.Time) workerResult {
 	rng := rand.New(rand.NewSource(cfg.Seed + id*6364136223846793005))
 	var zipf *rand.Zipf
 	if cfg.Dist == Zipf {
@@ -449,16 +398,6 @@ func runWorker(ctx context.Context, cfg Config, target Target, id int64, keys []
 	res := workerResult{
 		readLat:  metrics.NewSample(cfg.Ops / cfg.Workers),
 		writeLat: metrics.NewSample(cfg.Ops / cfg.Workers),
-	}
-	// Each worker is one logical client: when the config asks for leveled
-	// reads and the target can open sessions, the worker's whole op stream
-	// (writes included — read-your-writes needs the writes on the token)
-	// flows through its own session.
-	var sess Session
-	if cfg.leveled() {
-		if st, ok := target.(SessionTarget); ok {
-			sess = st.NewSession()
-		}
 	}
 	for lvl := range res.readLatLvl {
 		res.readLatLvl[lvl] = metrics.NewSample(cfg.Ops / cfg.Workers)
@@ -495,17 +434,9 @@ func runWorker(ctx context.Context, cfg Config, target Target, id int64, keys []
 		}
 		key := keys[k]
 		if rng.Float64() < cfg.ReadFraction {
-			lvl := LevelEventual
-			if sess != nil {
-				lvl = cfg.pickLevel(rng)
-			}
+			lvl := cfg.pickLevel(rng)
 			read := func() error {
-				var err error
-				if sess != nil {
-					_, _, err = sess.Read(key, lvl)
-				} else {
-					_, _, err = target.Read(key)
-				}
+				_, _, err := client.ReadVersioned(key, lvl)
 				return err
 			}
 			err, sheds, retries := opRetrying(ctx, cfg, rng, read)
@@ -533,10 +464,8 @@ func runWorker(ctx context.Context, cfg Config, target Target, id int64, keys []
 			}
 		} else {
 			write := func() error {
-				if sess != nil {
-					return sess.Write(key, value)
-				}
-				return target.Write(key, value)
+				_, err := client.Write(key, value)
+				return err
 			}
 			err, sheds, retries := opRetrying(ctx, cfg, rng, write)
 			res.sheds += sheds

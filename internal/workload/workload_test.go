@@ -6,45 +6,67 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/runtime"
+	"repro/internal/shard"
+	"repro/internal/store"
 )
 
-// fakeTarget is an in-memory keyspace recording which keys were touched.
+// fakeTarget is an in-memory keyspace recording which keys were touched;
+// every worker's Client is the one shared fake (see open). Reads carry a
+// per-level artificial delay — the fixture for the per-level latency
+// split.
 type fakeTarget struct {
 	mu     sync.Mutex
 	kv     map[string][]byte
+	opened int
 	writes int
-	reads  int
+	reads  [runtime.NumLevels]int
+	delay  [runtime.NumLevels]time.Duration
 	fail   bool
 }
 
 func newFakeTarget() *fakeTarget { return &fakeTarget{kv: make(map[string][]byte)} }
 
-func (f *fakeTarget) Write(key string, value []byte) error {
+// open is the fake's Run argument.
+func (f *fakeTarget) open() Client {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.opened++
+	return f
+}
+
+func (f *fakeTarget) Write(key string, value []byte) (shard.Receipt, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
-		return errors.New("injected failure")
+		return shard.Receipt{}, errors.New("injected failure")
 	}
 	f.kv[key] = append([]byte(nil), value...)
 	f.writes++
-	return nil
+	return shard.Receipt{}, nil
 }
 
-func (f *fakeTarget) Read(key string) ([]byte, bool, error) {
+func (f *fakeTarget) ReadVersioned(key string, lvl runtime.Level) (store.Versioned, bool, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.fail {
-		return nil, false, errors.New("injected failure")
+		f.mu.Unlock()
+		return store.Versioned{}, false, errors.New("injected failure")
 	}
-	f.reads++
+	d := f.delay[lvl]
+	f.reads[lvl]++
 	v, ok := f.kv[key]
-	return v, ok, nil
+	f.mu.Unlock()
+	if d > 0 {
+		time.Sleep(d)
+	}
+	return store.Versioned{Value: v}, ok, nil
 }
 
 func TestRunCompletesOpBudget(t *testing.T) {
 	target := newFakeTarget()
 	cfg := Config{Workers: 4, Ops: 2000, ReadFraction: 0.75, Keys: 128, Seed: 42}
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	if res.Ops != 2000 {
 		t.Fatalf("completed %d ops, want 2000", res.Ops)
 	}
@@ -77,7 +99,7 @@ func TestRunCompletesOpBudget(t *testing.T) {
 func TestRunZipfSkewsKeys(t *testing.T) {
 	target := newFakeTarget()
 	cfg := Config{Workers: 2, Ops: 4000, ReadFraction: 0, Keys: 512, Dist: Zipf, ZipfS: 1.4, Seed: 7}
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	if res.Writes != 4000 {
 		t.Fatalf("writes %d, want 4000", res.Writes)
 	}
@@ -94,7 +116,7 @@ func TestRunZipfSkewsKeys(t *testing.T) {
 func TestRunUniformSpreadsKeys(t *testing.T) {
 	target := newFakeTarget()
 	cfg := Config{Workers: 2, Ops: 4000, ReadFraction: 0, Keys: 256, Dist: Uniform, Seed: 7}
-	Run(context.Background(), cfg, target)
+	Run(context.Background(), cfg, target.open)
 	if len(target.kv) < 200 {
 		t.Errorf("uniform touched only %d distinct keys out of 256", len(target.kv))
 	}
@@ -103,8 +125,8 @@ func TestRunUniformSpreadsKeys(t *testing.T) {
 func TestRunDeterministicOpStream(t *testing.T) {
 	a, b := newFakeTarget(), newFakeTarget()
 	cfg := Config{Workers: 1, Ops: 500, ReadFraction: 0.5, Keys: 64, Seed: 99}
-	ra := Run(context.Background(), cfg, a)
-	rb := Run(context.Background(), cfg, b)
+	ra := Run(context.Background(), cfg, a.open)
+	rb := Run(context.Background(), cfg, b.open)
 	if ra.Reads != rb.Reads || ra.Writes != rb.Writes {
 		t.Errorf("same seed produced different mixes: (%d,%d) vs (%d,%d)",
 			ra.Reads, ra.Writes, rb.Reads, rb.Writes)
@@ -117,7 +139,7 @@ func TestRunDeterministicOpStream(t *testing.T) {
 func TestRunCountsErrors(t *testing.T) {
 	target := newFakeTarget()
 	target.fail = true
-	res := Run(context.Background(), Config{Workers: 2, Ops: 100, Seed: 1}, target)
+	res := Run(context.Background(), Config{Workers: 2, Ops: 100, Seed: 1}, target.open)
 	if res.Errors != 100 {
 		t.Errorf("errors %d, want all 100", res.Errors)
 	}
@@ -129,7 +151,7 @@ func TestRunCountsErrors(t *testing.T) {
 func TestRunHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Run(ctx, Config{Workers: 2, Ops: 1 << 30, Seed: 1}, newFakeTarget())
+	res := Run(ctx, Config{Workers: 2, Ops: 1 << 30, Seed: 1}, newFakeTarget().open)
 	if res.Ops > 2 {
 		t.Errorf("cancelled run still completed %d ops", res.Ops)
 	}
@@ -158,7 +180,7 @@ func TestKeyDistString(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := Run(context.Background(), Config{Workers: 1, Ops: 50, Seed: 1}, newFakeTarget())
+	res := Run(context.Background(), Config{Workers: 1, Ops: 50, Seed: 1}, newFakeTarget().open)
 	if s := res.String(); s == "" {
 		t.Error("empty result string")
 	}
@@ -167,8 +189,8 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// shedTarget rejects the first budget-1 attempts of every write with an
-// overload error carrying a retry-after hint, then admits. Reads always
+// shedTarget rejects the first rejects write attempts with an overload
+// rejection carrying a retry-after hint, then admits. Reads always
 // succeed.
 type shedTarget struct {
 	mu       sync.Mutex
@@ -178,24 +200,23 @@ type shedTarget struct {
 	admitted int
 }
 
-type fakeOverload struct{ hint time.Duration }
+func (s *shedTarget) open() Client { return s }
 
-func (e *fakeOverload) Error() string                 { return "overloaded" }
-func (e *fakeOverload) RetryAfterHint() time.Duration { return e.hint }
-
-func (s *shedTarget) Write(key string, value []byte) error {
+func (s *shedTarget) Write(key string, value []byte) (shard.Receipt, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts++
 	if s.rejects > 0 {
 		s.rejects--
-		return &fakeOverload{hint: s.hint}
+		return shard.Receipt{}, &runtime.Rejection{Kind: runtime.KindOverload, RetryAfter: s.hint}
 	}
 	s.admitted++
-	return nil
+	return shard.Receipt{}, nil
 }
 
-func (s *shedTarget) Read(key string) ([]byte, bool, error) { return nil, false, nil }
+func (s *shedTarget) ReadVersioned(string, runtime.Level) (store.Versioned, bool, error) {
+	return store.Versioned{}, false, nil
+}
 
 // TestOpenLoopPacing checks the open-loop schedule: ops are due at a
 // fixed rate regardless of worker count, so the run's elapsed time is
@@ -207,7 +228,7 @@ func TestOpenLoopPacing(t *testing.T) {
 		OpenLoop: true, ArrivalRate: 1000, // 200 ops at 1k/s = 200ms
 	}
 	start := time.Now()
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	elapsed := time.Since(start)
 	if res.Ops != 200 {
 		t.Fatalf("completed %d ops, want 200", res.Ops)
@@ -228,7 +249,7 @@ func TestOpenLoopDeterministicOpStream(t *testing.T) {
 		res := Run(context.Background(), Config{
 			Workers: 1, Ops: 300, ReadFraction: 0.5, Keys: 32, Seed: 9,
 			OpenLoop: true, ArrivalRate: 1e6,
-		}, target)
+		}, target.open)
 		return res.Reads, res.Writes
 	}
 	r1, w1 := run()
@@ -245,7 +266,7 @@ func TestOpenLoopDeterministicOpStream(t *testing.T) {
 func TestRetryBudgetRecovers(t *testing.T) {
 	target := &shedTarget{rejects: 1, hint: time.Millisecond}
 	cfg := Config{Workers: 1, Ops: 10, ReadFraction: 0, Keys: 8, Seed: 3, RetryBudget: 2}
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	if res.Errors != 0 {
 		t.Fatalf("retried writes still surfaced %d errors", res.Errors)
 	}
@@ -265,7 +286,7 @@ func TestRetryBudgetRecovers(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	target := &shedTarget{rejects: 1 << 30, hint: time.Microsecond}
 	cfg := Config{Workers: 1, Ops: 5, ReadFraction: 0, Keys: 8, Seed: 3, RetryBudget: 2}
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	if res.Errors != 5 {
 		t.Fatalf("got %d errors, want all 5 writes to fail after budget exhaustion", res.Errors)
 	}
@@ -277,14 +298,15 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestNonOverloadErrorsNeverRetry pins the policy's scope: only errors
-// carrying a retry-after hint are retried; a plain failure is terminal
-// even with budget available.
+// TestNonOverloadErrorsNeverRetry pins the policy's scope: only
+// rejections carrying a retry-after hint are retried; a plain failure is
+// terminal even with budget available. (That the runtime's own rejections
+// carry one exactly when retryable is runtime's TestRejectionTable.)
 func TestNonOverloadErrorsNeverRetry(t *testing.T) {
 	target := newFakeTarget()
 	target.fail = true
 	cfg := Config{Workers: 1, Ops: 5, ReadFraction: 0, Keys: 8, Seed: 3, RetryBudget: 5}
-	res := Run(context.Background(), cfg, target)
+	res := Run(context.Background(), cfg, target.open)
 	if res.Errors != 5 {
 		t.Fatalf("got %d errors, want 5", res.Errors)
 	}
