@@ -27,8 +27,9 @@
 //	internal/island      §6 islands, leader election, overlay
 //	internal/runtime     goroutine-per-replica live cluster with a
 //	                     concurrent client plane (see below)
-//	internal/transport   in-memory (faults) + TCP transports; TCP sends
-//	                     coalesce through per-peer writer goroutines
+//	internal/transport   in-memory (faults) + TCP transports, both FIFO
+//	                     per directed link; TCP sends coalesce through
+//	                     per-peer writer goroutines
 //	internal/shard       consistent-hash router over per-shard clusters:
 //	                     one keyspace partitioned across many replica
 //	                     groups, with live shard add/remove and handoff
@@ -81,8 +82,10 @@
 //     commit leader and folds the whole batch into the node under ONE
 //     replica-lock acquisition (node.ClientWriteBatch → wlog.AppendBatch,
 //     one log lock and one value arena per batch), emitting ONE merged
-//     fast-offer fan-out per batch. A batch is semantically identical to
-//     the same writes issued back-to-back.
+//     fast-update fan-out per batch: the entries themselves when they fit
+//     a network frame (one message per chain link), an ids-only offer
+//     when they do not (the paper's steps 13–18). A batch is semantically
+//     identical to the same writes issued back-to-back.
 //
 //   - The write log stores entries in fixed-size chunks, so sustained
 //     write streams never pay growslice doubling or giant-array GC scans,

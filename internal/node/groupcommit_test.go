@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/protocol"
+	"repro/internal/vclock"
 )
 
 func testNode(id NodeID, neighbors []NodeID) *Node {
@@ -22,12 +23,27 @@ func testNode(id NodeID, neighbors []NodeID) *Node {
 // TestClientWriteBatchEquivalence commits the same ops through ClientWrite
 // one-by-one on one node and through ClientWriteBatch on another: entries
 // (timestamps, clocks, content), store state and summaries must be
-// identical — a batch is semantically invisible.
+// identical — a batch is semantically invisible — and the batch fans out
+// once, in the shape its size calls for: pushed when it fits a frame,
+// offered ids-first when it does not.
 func TestClientWriteBatchEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		valueSize int
+		push      bool
+	}{
+		{"frame-sized batch", 2, true},
+		{"over-frame batch", 200, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBatchEquivalence(t, tc.valueSize, tc.push) })
+	}
+}
+
+func checkBatchEquivalence(t *testing.T, valueSize int, push bool) {
 	nbrs := []NodeID{1, 2}
 	serial := testNode(0, nbrs)
 	batched := testNode(0, nbrs)
-	// Teach both nodes the same neighbour demands so fast offers match.
+	// Teach both nodes the same neighbour demands so fast updates match.
 	for _, n := range []*Node{serial, batched} {
 		n.noteDemand(1, 5, 0)
 		n.noteDemand(2, 9, 0)
@@ -35,7 +51,7 @@ func TestClientWriteBatchEquivalence(t *testing.T) {
 
 	ops := make([]WriteOp, 16)
 	for i := range ops {
-		ops[i] = WriteOp{Key: fmt.Sprintf("k%02d", i%5), Value: []byte(fmt.Sprintf("v%d", i))}
+		ops[i] = WriteOp{Key: fmt.Sprintf("k%02d", i%5), Value: bytes.Repeat([]byte{byte('a' + i)}, valueSize)}
 	}
 
 	var serialEntries []struct {
@@ -73,23 +89,53 @@ func TestClientWriteBatchEquivalence(t *testing.T) {
 		t.Errorf("lamport clocks differ: batch %d, serial %d", batched.Clock(), serial.Clock())
 	}
 
-	// The batch must fan out ONE merged offer (to the same best-demand
-	// neighbour the serial path chose) carrying every new id.
+	// The batch must fan out ONE merged envelope, to the same best-demand
+	// neighbour the serial path chose, carrying every new write in order.
 	if len(out) != 1 {
-		t.Fatalf("batch emitted %d envelopes, want 1 merged fast offer", len(out))
-	}
-	offer, ok := out[0].Msg.(protocol.FastOffer)
-	if !ok {
-		t.Fatalf("batch emitted %T, want FastOffer", out[0].Msg)
+		t.Fatalf("batch emitted %d envelopes, want 1 merged fast update", len(out))
 	}
 	if out[0].To != 2 {
-		t.Errorf("offer sent to %v, want highest-demand neighbour 2", out[0].To)
+		t.Errorf("fast update sent to %v, want highest-demand neighbour 2", out[0].To)
 	}
-	if len(offer.IDs) != len(ops) {
-		t.Errorf("offer carries %d ids, want %d", len(offer.IDs), len(ops))
+	var ids []vclock.Timestamp
+	switch m := out[0].Msg.(type) {
+	case protocol.FastPayload:
+		if !push {
+			t.Fatalf("over-frame batch was pushed, want FastOffer")
+		}
+		for i, e := range m.Entries {
+			ids = append(ids, e.TS)
+			if i < len(ops) && !bytes.Equal(e.Value, ops[i].Value) {
+				t.Errorf("pushed entry %d carries %q, want %q", i, e.Value, ops[i].Value)
+			}
+		}
+	case protocol.FastOffer:
+		if push {
+			t.Fatalf("frame-sized batch was offered, want FastPayload")
+		}
+		ids = m.IDs
+	default:
+		t.Fatalf("batch emitted %T", out[0].Msg)
 	}
-	if got, want := batched.Stats().FastOffersSent, uint64(1); got != want {
-		t.Errorf("FastOffersSent = %d, want %d", got, want)
+	if len(ids) != len(ops) {
+		t.Fatalf("fast update carries %d writes, want %d", len(ids), len(ops))
+	}
+	for i, ts := range ids {
+		if ts != entries[i].TS {
+			t.Errorf("fast update position %d names %v, want %v", i, ts, entries[i].TS)
+		}
+	}
+	wantPushes, wantOffers := uint64(0), uint64(1)
+	if push {
+		wantPushes, wantOffers = 1, 0
+	}
+	if st := batched.Stats(); st.FastPushesSent != wantPushes || st.FastOffersSent != wantOffers {
+		t.Errorf("batch sent %d pushes, %d offers, want %d, %d", st.FastPushesSent, st.FastOffersSent, wantPushes, wantOffers)
+	}
+	// Per op every write fits a frame on its own: 16 pushes, whatever the
+	// batch did.
+	if st := serial.Stats(); st.FastPushesSent != uint64(len(ops)) || st.FastOffersSent != 0 {
+		t.Errorf("serial path sent %d pushes, %d offers, want %d, 0", st.FastPushesSent, st.FastOffersSent, len(ops))
 	}
 }
 

@@ -7,8 +7,10 @@
 //
 //	Part 2 (fast update): whenever the replica acquires writes it did not
 //	have — from a local client or from any protocol exchange — it
-//	immediately offers them (ids only) to its highest-demand neighbour(s),
-//	steps 13–18, producing the valley-flooding chains of §2.
+//	immediately hands them to its highest-demand neighbour(s), producing
+//	the valley-flooding chains of §2. A gain that fits one network frame is
+//	pushed as the payload itself, one message per chain link; a larger one
+//	is offered ids first, steps 13–18 (see fastOffers).
 //
 // The node is transport-agnostic ("sans I/O"): every input is an explicit
 // method call carrying the current time, and every output is a slice of
@@ -45,10 +47,11 @@ type Config struct {
 	// FastPush enables the §2.1 part-two fast-update chains.
 	FastPush bool
 	// FanOut is how many distinct highest-demand neighbours each fast
-	// offer targets. The paper pushes to one; values > 1 are an extension
-	// evaluated in the ablation experiments. Defaults to 1.
+	// update (pushed or offered) targets. The paper pushes to one; values
+	// > 1 are an extension evaluated in the ablation experiments. Defaults
+	// to 1.
 	FanOut int
-	// GradientOnly, when set, suppresses fast offers to neighbours whose
+	// GradientOnly, when set, suppresses fast updates to neighbours whose
 	// recorded demand does not exceed this node's own demand — a strict
 	// "downhill only" variant used in ablations. The paper's algorithm is
 	// unconditional (GradientOnly = false).
@@ -114,7 +117,8 @@ type Stats struct {
 	SessionsReceived   uint64
 	EntriesSent        uint64
 	EntriesReceived    uint64
-	FastOffersSent     uint64
+	FastOffersSent     uint64 // ids-first offers (gains over one frame)
+	FastPushesSent     uint64 // frame-sized gains pushed as payloads, no offer
 	FastOffersReceived uint64
 	FastOffersAccepted uint64 // offers we answered YES to
 	FastOffersDeclined uint64 // offers we answered NO to
@@ -261,7 +265,7 @@ func (n *Node) noteDemand(from NodeID, d, now float64) {
 
 // ClientWrite accepts a local client write (the paper's "write operation in
 // a server", §2), appends it to the log, applies it to the store, and — with
-// FastPush — immediately offers it to the highest-demand neighbour(s).
+// FastPush — immediately hands it to the highest-demand neighbour(s).
 func (n *Node) ClientWrite(now float64, key string, value []byte) (wlog.Entry, []protocol.Envelope) {
 	n.lamport++
 	e := n.log.Append(n.cfg.ID, key, value, n.lamport)
@@ -286,9 +290,9 @@ type WriteOp struct {
 // ClientWriteBatch folds a batch of concurrent local client writes into the
 // node in one step: sequence numbers and Lamport clocks are assigned in
 // batch order, the write log takes its lock once for the whole batch, and —
-// with FastPush — the batch triggers a single merged fast-offer fan-out
-// carrying every new id, instead of one offer chain per write. It returns
-// the committed entries in input order plus the outbound envelopes.
+// with FastPush — the batch triggers a single merged fast-update fan-out
+// carrying every new write, instead of one chain per write. It returns the
+// committed entries in input order plus the outbound envelopes.
 //
 // Semantically a batch is indistinguishable from calling ClientWrite once
 // per op in the same order; it only amortises the locking and fan-out.
@@ -480,7 +484,7 @@ func (n *Node) batchesFor(now float64, partner NodeID, sessionID uint64, theirs 
 }
 
 // onUpdateBatch is step 12: apply the entries the partner sent; on the final
-// batch, close the session. Newly gained entries trigger fast offers.
+// batch, close the session. Newly gained entries start fast-update chains.
 func (n *Node) onUpdateBatch(now float64, from NodeID, m protocol.UpdateBatch) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	gained := n.absorb(m.Entries)
@@ -525,7 +529,7 @@ func (n *Node) absorb(entries []wlog.Entry) []wlog.Entry {
 }
 
 // Replay folds recovered write-log entries into the replica — the disk
-// recovery path. Unlike absorb it triggers no fast offers (the entries are
+// recovery path. Unlike absorb it starts no fast updates (the entries are
 // old news to the network) and, because drivers attach the journal only
 // after replay, nothing is re-journaled. Entries are applied in (origin,
 // seq) order; those already covered are skipped. It returns how many
@@ -549,18 +553,43 @@ func (n *Node) Replay(entries []wlog.Entry) int {
 	return len(gained)
 }
 
-// fastOffers implements step 13: offer newly gained writes (ids only) to the
-// FanOut highest-demand neighbours, excluding the replica they came from.
+// framePayload is the most entry bytes a fast update pushes without asking
+// first: about what fits, with the envelope header, in one 1,500-byte
+// Ethernet frame under IP and TCP headers. Up to there the ids-first
+// exchange saves no packet — the payload costs the one frame the offer would
+// have — and only adds two link delays; above it the paper's bandwidth
+// argument for asking before sending is kept. The value is that argument's,
+// not a measured optimum: the benchmark writes 128-byte values, so it runs
+// the push side only, and nothing it runs charges for bytes (see ROADMAP).
+const framePayload = 1400
+
+// fitsFrame reports whether entries take at most framePayload bytes, counted
+// as the write log counts (keys + values) plus about 10 each for what the
+// encoding adds: id, two lengths and the clock as varints.
+func fitsFrame(entries []wlog.Entry) bool {
+	size := 0
+	for _, e := range entries {
+		if size += len(e.Key) + len(e.Value) + 10; size > framePayload {
+			return false
+		}
+	}
+	return true
+}
+
+// fastOffers starts or continues a fast-update chain: hand newly gained
+// writes to the FanOut highest-demand neighbours, excluding the replica they
+// came from. A gain that fits one frame goes as the FastPayload itself, so a
+// chain link is one message and a receiver that gains nothing ends the chain
+// as a NO would; a larger gain is offered ids only (step 13) and the payload
+// follows a YES.
 func (n *Node) fastOffers(now float64, gained []wlog.Entry, hops uint32, source NodeID) []protocol.Envelope {
 	if !n.cfg.FastPush || len(gained) == 0 {
 		return nil
 	}
-	ids := make([]vclock.Timestamp, len(gained))
-	for i, e := range gained {
-		ids[i] = e.TS
-	}
 	skip := append(n.offerSkip[:0], source, n.cfg.ID)
 	own := n.OwnDemand(now)
+	push := fitsFrame(gained)
+	var ids []vclock.Timestamp
 	var out []protocol.Envelope
 	for i := 0; i < n.cfg.FanOut; i++ {
 		best, ok := n.table.BestExcept(skip)
@@ -571,12 +600,22 @@ func (n *Node) fastOffers(now float64, gained []wlog.Entry, hops uint32, source 
 		if n.cfg.GradientOnly && best.Demand <= own {
 			continue
 		}
-		out = append(out, protocol.Envelope{
-			From: n.cfg.ID,
-			To:   best.Node,
-			Msg:  protocol.FastOffer{IDs: ids, Demand: own, Hops: hops},
-		})
-		n.stats.FastOffersSent++
+		env := protocol.Envelope{From: n.cfg.ID, To: best.Node}
+		if push {
+			env.Msg = protocol.FastPayload{Entries: gained, Demand: own, Hops: hops}
+			n.stats.FastPushesSent++
+			n.stats.FastEntriesSent += uint64(len(gained))
+		} else {
+			if ids == nil {
+				ids = make([]vclock.Timestamp, len(gained))
+				for j, e := range gained {
+					ids[j] = e.TS
+				}
+			}
+			env.Msg = protocol.FastOffer{IDs: ids, Demand: own, Hops: hops}
+			n.stats.FastOffersSent++
+		}
+		out = append(out, env)
 	}
 	n.offerSkip = skip
 	return out
@@ -631,9 +670,11 @@ func (n *Node) onFastReply(now float64, from NodeID, m protocol.FastReply) []pro
 	}}
 }
 
-// onFastPayload applies fast-update entries and continues the chain (§2:
-// "if the neighbour selected has another neighbour with even greater demand
-// the process will be repeated") with an incremented hop count.
+// onFastPayload applies fast-update entries — answered from an offer or
+// pushed unasked — and continues the chain with what it gained (§2: "if the
+// neighbour selected has another neighbour with even greater demand the
+// process will be repeated") at an incremented hop count. Entries it already
+// covers are dropped as duplicates; gaining none ends the chain.
 func (n *Node) onFastPayload(now float64, from NodeID, m protocol.FastPayload) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	gained := n.absorb(m.Entries)

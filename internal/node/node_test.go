@@ -177,28 +177,110 @@ func TestRepeatSessionSendsNothing(t *testing.T) {
 
 func TestFastUpdateChainFloodsValley(t *testing.T) {
 	// Line 0-1-2-3-4 with demand increasing toward node 4 (the valley).
-	// A write at node 0, followed by one session 0-1, must reach node 4
-	// through the fast-update chain alone — no further sessions.
-	field := demand.Static{1, 2, 3, 4, 5}
-	c := newCluster(field, true, lineAdj(5), policy.NewDynamicOrdered)
+	// A write at node 0 must reach node 4 through the fast-update chain
+	// alone — no sessions — whichever shape the chain takes: one pushed
+	// payload per link when the write fits a frame, the paper's offer → YES
+	// → payload (steps 13–18) when it does not.
+	for _, tc := range []struct {
+		name           string
+		value          []byte
+		msgs           int    // messages the whole chain costs
+		pushes, offers uint64 // per forwarding node
+	}{
+		{"frame-sized write is pushed", []byte("v"), 4, 1, 0},
+		{"over-frame write is offered", make([]byte, framePayload+1), 12, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			field := demand.Static{1, 2, 3, 4, 5}
+			c := newCluster(field, true, lineAdj(5), policy.NewDynamicOrdered)
+			c.refreshTables(field)
+
+			e, out := c.nodes[0].ClientWrite(0, "k", tc.value)
+			c.send(out) // to node 1, its only neighbour
+			if got := c.pump(t); got != tc.msgs {
+				t.Errorf("chain cost %d messages, want %d", got, tc.msgs)
+			}
+
+			for id := NodeID(0); id <= 4; id++ {
+				st := c.nodes[id].Stats()
+				if id > 0 && (!c.nodes[id].Covers(e.TS) || st.FastEntriesGained != 1) {
+					t.Errorf("node %v missed the fast-update chain (gained %d)", id, st.FastEntriesGained)
+				}
+				// Node 4 has nobody to hand the write on to: its one neighbour
+				// is where it came from.
+				if id < 4 && (st.FastPushesSent != tc.pushes || st.FastOffersSent != tc.offers) {
+					t.Errorf("node %v sent %d pushes, %d offers, want %d, %d",
+						id, st.FastPushesSent, st.FastOffersSent, tc.pushes, tc.offers)
+				}
+				if st.FastOffersDeclined != 0 || st.DuplicateDrops != 0 || st.GapDrops != 0 {
+					t.Errorf("node %v: declined %d, duplicates %d, gaps %d, want none",
+						id, st.FastOffersDeclined, st.DuplicateDrops, st.GapDrops)
+				}
+			}
+		})
+	}
+}
+
+// A pushed payload takes the place of offer and reply, so the receiver does
+// the NO's work itself: what it already covers is dropped and counted as
+// duplicate, a full cover ends the chain without a message, and a partial
+// one forwards only the suffix it gained, one hop further.
+func TestPushedPayloadChainSemantics(t *testing.T) {
+	field := demand.Static{1, 2, 3}
+	c := newCluster(field, true, lineAdj(3), policy.NewDynamicOrdered)
 	c.refreshTables(field)
-
-	e, out := c.nodes[0].ClientWrite(0, "k", []byte("v"))
-	c.send(out) // fast offer to node 1 (its only higher-demand neighbour)
-	c.pump(t)
-
-	for id := NodeID(1); id <= 4; id++ {
-		if !c.nodes[id].Covers(e.TS) {
-			t.Errorf("node %v missed the fast-update chain", id)
+	a, b := c.nodes[0], c.nodes[1]
+	push := func(hops uint32, entries ...wlog.Entry) []protocol.Envelope {
+		return b.HandleMessage(1, protocol.Envelope{
+			From: 0, To: 1,
+			Msg: protocol.FastPayload{Entries: entries, Demand: 1, Hops: hops},
+		})
+	}
+	stats := func(when string, duplicates, gained, pushes uint64) {
+		t.Helper()
+		st := b.Stats()
+		if st.DuplicateDrops != duplicates || st.FastEntriesGained != gained || st.FastPushesSent != pushes || st.GapDrops != 0 {
+			t.Fatalf("%s: duplicates %d, gained %d, pushes %d, gaps %d, want %d, %d, %d, 0",
+				when, st.DuplicateDrops, st.FastEntriesGained, st.FastPushesSent, st.GapDrops, duplicates, gained, pushes)
 		}
 	}
-	// The chain visited nodes in order; hops grew along it.
-	if got := c.nodes[4].Stats().FastEntriesGained; got != 1 {
-		t.Errorf("valley node gained %d fast entries, want 1", got)
+
+	e1, _ := a.ClientWrite(0, "k1", []byte("1"))
+	e2, _ := a.ClientWrite(0, "k2", []byte("2"))
+	if out := push(0, e1, e2); len(out) != 1 || out[0].To != 2 {
+		t.Fatalf("new push produced %v, want one envelope to n2", out)
 	}
-	if declined := c.nodes[0].Stats().FastOffersDeclined; declined != 0 {
-		t.Errorf("origin declined %d offers unexpectedly", declined)
+	stats("new push", 0, 2, 1)
+
+	if out := push(0, e1, e2); len(out) != 0 {
+		t.Fatalf("fully covered push produced %v, want nothing", out)
 	}
+	stats("covered push", 2, 2, 1)
+
+	e3, _ := a.ClientWrite(0, "k3", []byte("3"))
+	e4, _ := a.ClientWrite(0, "k4", []byte("4"))
+	out := push(5, e2, e3, e4)
+	if len(out) != 1 || out[0].To != 2 {
+		t.Fatalf("partly covered push produced %v, want one envelope to n2", out)
+	}
+	fwd, ok := out[0].Msg.(protocol.FastPayload)
+	if !ok || fwd.Hops != 6 || len(fwd.Entries) != 2 || fwd.Entries[0].TS != e3.TS || fwd.Entries[1].TS != e4.TS {
+		t.Fatalf("forwarded %+v, want FastPayload{[%v %v], Hops: 6}", out[0].Msg, e3.TS, e4.TS)
+	}
+	stats("partly covered push", 3, 4, 2)
+
+	// The release stage may fold a reply payload behind a push, so entries
+	// can arrive out of (origin, seq) order: absorbed whole, forwarded sorted.
+	e5, _ := a.ClientWrite(0, "k5", []byte("5"))
+	e6, _ := a.ClientWrite(0, "k6", []byte("6"))
+	out = push(0, e6, e5)
+	if len(out) != 1 {
+		t.Fatalf("unsorted push produced %v, want one envelope", out)
+	}
+	if fwd := out[0].Msg.(protocol.FastPayload); len(fwd.Entries) != 2 || fwd.Entries[0].TS != e5.TS || fwd.Entries[1].TS != e6.TS {
+		t.Fatalf("unsorted push forwarded %+v, want [%v %v]", fwd.Entries, e5.TS, e6.TS)
+	}
+	stats("unsorted push", 3, 6, 3)
 }
 
 func TestFastOfferDeclinedWhenCovered(t *testing.T) {
@@ -332,8 +414,8 @@ func TestGradientOnlySuppressesUphillOffers(t *testing.T) {
 	if len(out) != 0 {
 		t.Errorf("gradient-only node offered uphill: %v", out)
 	}
-	if n.Stats().FastOffersSent != 0 {
-		t.Error("FastOffersSent should be 0")
+	if st := n.Stats(); st.FastOffersSent != 0 || st.FastPushesSent != 0 {
+		t.Errorf("sent %d offers, %d pushes, want none", st.FastOffersSent, st.FastPushesSent)
 	}
 }
 
@@ -355,11 +437,11 @@ func TestFanOutTargetsMultipleNeighbors(t *testing.T) {
 	c.refreshTables(field)
 	_, out := c.nodes[0].ClientWrite(0, "k", []byte("v"))
 	if len(out) != 2 {
-		t.Fatalf("fan-out 2 emitted %d offers, want 2", len(out))
+		t.Fatalf("fan-out 2 emitted %d envelopes, want 2", len(out))
 	}
-	// Offers go to the two highest-demand neighbours: 1 then 2.
+	// The write goes to the two highest-demand neighbours: 1 then 2.
 	if out[0].To != 1 || out[1].To != 2 {
-		t.Errorf("offer targets = %v, %v, want n1, n2", out[0].To, out[1].To)
+		t.Errorf("targets = %v, %v, want n1, n2", out[0].To, out[1].To)
 	}
 }
 

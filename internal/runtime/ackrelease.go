@@ -217,7 +217,8 @@ func (r *replica) ackWorker() {
 // worker or, with no worker, by the commit leader: wait for the covering
 // sync, then ack and send. On the worker one sync releases all it covered
 // in a single pass — acks in commit order, then one fan-out with same-peer
-// offers merged, so a burst of small batches costs peers one offer round.
+// offers and pushed payloads merged, so a burst of small batches costs peers
+// one message each.
 func (r *replica) release(rel *ackRelease) {
 	// A release whose records are already durable at pickup rode an earlier
 	// batch's sync (asked only when observability stamped it for the queue).
@@ -288,21 +289,39 @@ func (r *replica) ack(rel *ackRelease, coalesced bool) {
 	r.wq.recycle(rel.batch)
 }
 
-// mergeOffers folds, in place, FastOffers bound for the same peer at the
-// same hop count into the first of them: the union of their ids (distinct
-// releases offer distinct writes) and the newest demand. Every other
-// envelope, and the relative order, is kept.
+// mergeOffers folds, in place, the fast-update envelopes of one kind —
+// FastOffers, or FastPayloads — bound for the same peer at the same hop
+// count into the first of them: their ids or entries concatenated in
+// release order, and the newest demand. Every other envelope, and the
+// relative order, is kept. Any FastPayload is folded, pushed at commit or
+// answering a YES from handle: pushes alone stay in (origin, seq) order
+// (release order is commit order), a reply folded among them may not, and
+// the receiver's absorb sorts what arrives unsorted.
 func mergeOffers(envs []protocol.Envelope) []protocol.Envelope {
-	type dest struct{ to, hops uint64 }
+	type dest struct {
+		to      transport.NodeID
+		hops    uint32
+		payload bool
+	}
 	first := make(map[dest]int)
 	out := envs[:0]
 	for _, env := range envs {
-		if m, ok := env.Msg.(protocol.FastOffer); ok {
-			k := dest{uint64(env.To), uint64(m.Hops)}
+		// A fan-out's envelopes share one slice: copy, never grow it.
+		switch m := env.Msg.(type) {
+		case protocol.FastOffer:
+			k := dest{env.To, m.Hops, false}
 			if i, seen := first[k]; seen {
-				// A fan-out's offers share one id slice: copy, never grow it.
 				p := out[i].Msg.(protocol.FastOffer)
 				p.IDs, p.Demand = append(p.IDs[:len(p.IDs):len(p.IDs)], m.IDs...), m.Demand
+				out[i].Msg = p
+				continue
+			}
+			first[k] = len(out)
+		case protocol.FastPayload:
+			k := dest{env.To, m.Hops, true}
+			if i, seen := first[k]; seen {
+				p := out[i].Msg.(protocol.FastPayload)
+				p.Entries, p.Demand = append(p.Entries[:len(p.Entries):len(p.Entries)], m.Entries...), m.Demand
 				out[i].Msg = p
 				continue
 			}
@@ -315,9 +334,10 @@ func mergeOffers(envs []protocol.Envelope) []protocol.Envelope {
 
 // carriesEntries reports whether any envelope carries write-log entries or
 // store content — the envelopes the durability gate must hold until the
-// records behind them are on disk. Offers and summaries carry only ids and
-// version vectors; a crash after they escape is harmless (the peer simply
-// never receives the payload and re-learns through anti-entropy).
+// records behind them are on disk, a fast update pushed without an offer
+// included. Offers and summaries carry only ids and version vectors; a crash
+// after they escape is harmless (the peer simply never receives the payload
+// and re-learns through anti-entropy).
 func carriesEntries(envs []protocol.Envelope) bool {
 	for _, env := range envs {
 		switch m := env.Msg.(type) {

@@ -18,7 +18,7 @@ import (
 // combining queue. The first writer to find the queue leaderless becomes the
 // commit leader: it drains the queue in batches, folds each batch into the
 // node under ONE replica-lock acquisition via node.ClientWriteBatch (one
-// write-log lock, one merged fast-offer fan-out), completes the waiting
+// write-log lock, one merged fast-update fan-out), completes the waiting
 // writers, and keeps draining until the queue is empty, at which point
 // leadership lapses. Writers that find a leader already installed just park
 // on their request's done channel — they never touch the replica lock.

@@ -155,6 +155,9 @@ func (c *Cluster) registerReplicaObs(id NodeID) {
 		func(s node.Stats) uint64 { return s.FastOffersSent }, obs.L("event", "sent"))
 	counter("repro_node_fast_offers_total",
 		"Fast-update offers by lifecycle event.",
+		func(s node.Stats) uint64 { return s.FastPushesSent }, obs.L("event", "pushed"))
+	counter("repro_node_fast_offers_total",
+		"Fast-update offers by lifecycle event.",
 		func(s node.Stats) uint64 { return s.FastOffersReceived }, obs.L("event", "received"))
 	counter("repro_node_fast_offers_total",
 		"Fast-update offers by lifecycle event.",

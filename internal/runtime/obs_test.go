@@ -91,6 +91,26 @@ func TestObsWriteAccounting(t *testing.T) {
 	if got := reg.Total("repro_replicas"); got != n {
 		t.Errorf("repro_replicas = %v, want %d", got, n)
 	}
+	// One-byte writes fit a frame: every fast update is a push, exported
+	// under its own event label beside the (here unused) offers.
+	var pushed, offered uint64
+	for id := NodeID(0); id < n; id++ {
+		pushed += c.Stats(id).FastPushesSent
+		offered += c.Stats(id).FastOffersSent
+	}
+	if pushed < writes || offered != 0 {
+		t.Errorf("fast updates: %d pushed, %d offered, want >= %d pushed, none offered", pushed, offered, writes)
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < n; id++ {
+		want := fmt.Sprintf(`repro_node_fast_offers_total{event="pushed",replica="n%d"} %d`, id, c.Stats(NodeID(id)).FastPushesSent)
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }
 
 // TestObsReadPathZeroAllocs pins the acceptance criterion that enabling

@@ -18,6 +18,7 @@ import (
 	"repro/internal/topology"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
+	"repro/internal/wlog"
 )
 
 // Tests for the release stage's own mechanics (ackrelease.go): the merged
@@ -36,7 +37,16 @@ func TestMergeOffers(t *testing.T) {
 	offer := func(to NodeID, hops uint32, demand float64, seqs ...uint64) protocol.Envelope {
 		return protocol.Envelope{From: 0, To: to, Msg: protocol.FastOffer{IDs: ts(seqs...), Demand: demand, Hops: hops}}
 	}
+	push := func(to NodeID, hops uint32, demand float64, seqs ...uint64) protocol.Envelope {
+		entries := make([]wlog.Entry, len(seqs))
+		for i, id := range ts(seqs...) {
+			entries[i] = wlog.Entry{TS: id, Key: "k"}
+		}
+		return protocol.Envelope{From: 0, To: to, Msg: protocol.FastPayload{Entries: entries, Demand: demand, Hops: hops}}
+	}
 	shared := ts(1, 2) // one fan-out's offers share their id slice
+	// One fan-out's payloads share their entry slice, here with room to grow.
+	sharedPush := append(make([]wlog.Entry, 0, 8), push(3, 0, 1, 1, 2).Msg.(protocol.FastPayload).Entries...)
 	batch := protocol.Envelope{From: 0, To: 1, Msg: protocol.UpdateBatch{SessionID: 7, Final: true}}
 	advert := protocol.Envelope{From: 0, To: 2, Msg: protocol.DemandAdvert{Demand: 3}}
 	in := []protocol.Envelope{
@@ -49,6 +59,18 @@ func TestMergeOffers(t *testing.T) {
 		offer(2, 0, 3, 5, 6), // merges into the second
 		offer(1, 1, 4, 7),    // merges into the hop-1 offer
 		offer(1, 0, 5, 8),    // merges into the first again
+		// Pushed payloads fold the same way, entries in release order, and
+		// never into an offer for the same peer and hop.
+		{From: 0, To: 3, Msg: protocol.FastPayload{Entries: sharedPush, Demand: 1}},
+		{From: 0, To: 1, Msg: protocol.FastPayload{Entries: sharedPush, Demand: 1}},
+		push(3, 0, 2, 3),
+		push(3, 2, 2, 9), // a chain passing through: other hop count
+		push(1, 0, 6, 3, 4),
+		push(3, 0, 7, 4),
+		// Any payload folds, a reply to a YES (older entries) too: the
+		// result is then unsorted and left to the receiver's absorb.
+		push(4, 0, 1, 10, 11),
+		push(4, 0, 2, 5, 6),
 	}
 	want := []protocol.Envelope{
 		offer(1, 0, 5, 1, 2, 3, 8),
@@ -56,12 +78,19 @@ func TestMergeOffers(t *testing.T) {
 		batch,
 		offer(1, 1, 4, 4, 7),
 		advert,
+		push(3, 0, 7, 1, 2, 3, 4),
+		push(1, 0, 6, 1, 2, 3, 4),
+		push(3, 2, 2, 9),
+		push(4, 0, 2, 10, 11, 5, 6),
 	}
 	if got := mergeOffers(in); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mergeOffers:\n got %v\nwant %v", got, want)
 	}
 	if !reflect.DeepEqual(shared, ts(1, 2)) {
 		t.Fatalf("mergeOffers grew a shared id slice in place: %v", shared)
+	}
+	if spare := sharedPush[:3][2]; spare.Key != "" {
+		t.Fatalf("mergeOffers grew a shared entry slice in place: %v", spare)
 	}
 	if got := mergeOffers(nil); len(got) != 0 {
 		t.Fatalf("mergeOffers(nil) = %v", got)

@@ -598,7 +598,7 @@ func (c *Cluster) Write(id NodeID, key string, value []byte) (vclock.Timestamp, 
 //
 // Concurrent writes to one replica group-commit: they park in the replica's
 // write-combining queue and a leader folds the whole batch into the node
-// under one lock acquisition, with one merged fast-offer fan-out for the
+// under one lock acquisition, with one merged fast-update fan-out for the
 // batch (see groupcommit.go). A batch behaves exactly like the same writes
 // issued back-to-back; only the locking and fan-out are amortised.
 //

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,3 +203,55 @@ func TestClusterSurvivesMessageLoss(t *testing.T) {
 
 // randSource is a tiny helper so tests read naturally.
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// An origin that writes faster than its session interval keeps its fast
+// path: on links that keep order, consecutive fast updates arrive in
+// sequence, so they are absorbed instead of gap-dropped. (When two sends on
+// one link could land out of order, one swapped pair cost every later write
+// of that origin its fast update until a session healed the gap, and at this
+// rate the next swap came before the session did.) The residue is chains cut
+// short where a session delivered an entry first — the algorithm, not the
+// link.
+func TestFastPathSurvivesWritesFasterThanSessions(t *testing.T) {
+	const writes = 2000
+	// Origin 0's neighbours on the ring are 1 and 3; 3 has the top demand.
+	c := startCluster(t, topology.Ring(4), demand.Static{1, 2, 3, 4}, WithSeed(11),
+		WithNetwork(transport.MemoryConfig{Latency: 2 * time.Millisecond, Seed: 11}),
+		WithSessionInterval(25*time.Millisecond),
+		WithAdvertInterval(10*time.Millisecond))
+
+	watches := make([]*Watch, 0, writes)
+	value := make([]byte, 128)
+	start := time.Now()
+	for i := 0; i < writes; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * time.Millisecond)))
+		ts, err := c.Write(0, fmt.Sprintf("k%02d", i%64), value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		watches = append(watches, c.Watch(ts))
+	}
+	deadline := time.After(20 * time.Second)
+	for i, w := range watches {
+		select {
+		case <-w.Done():
+		case <-deadline:
+			t.Fatalf("write %d never reached every replica", i)
+		}
+	}
+
+	var gaps uint64
+	for id := NodeID(0); id < 4; id++ {
+		gaps += c.Stats(id).GapDrops
+	}
+	if gaps >= writes/4 {
+		t.Errorf("%d fast entries gap-dropped over %d writes, want under a quarter", gaps, writes)
+	}
+	top := c.Stats(3)
+	if 2*top.FastEntriesGained <= top.EntriesAbsorbed {
+		t.Errorf("top-demand neighbour gained %d of its %d entries by fast update, want more than half",
+			top.FastEntriesGained, top.EntriesAbsorbed)
+	}
+	t.Logf("gap drops %d/%d writes; top-demand neighbour: %d/%d absorbed by fast update",
+		gaps, writes, top.FastEntriesGained, top.EntriesAbsorbed)
+}

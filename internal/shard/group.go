@@ -329,6 +329,7 @@ func addStats(a *node.Stats, b node.Stats) {
 	a.EntriesSent += b.EntriesSent
 	a.EntriesReceived += b.EntriesReceived
 	a.FastOffersSent += b.FastOffersSent
+	a.FastPushesSent += b.FastPushesSent
 	a.FastOffersReceived += b.FastOffersReceived
 	a.FastOffersAccepted += b.FastOffersAccepted
 	a.FastOffersDeclined += b.FastOffersDeclined

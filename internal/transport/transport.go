@@ -2,7 +2,8 @@
 //
 // Two implementations are provided. Memory is an in-process network with
 // configurable latency, loss and partitions, used by the runtime cluster and
-// by failure-injection tests. TCP runs the same wire protocol over real
+// by failure-injection tests; like a TCP connection, each of its directed
+// links delivers in send order. TCP runs the same wire protocol over real
 // sockets (stdlib net), demonstrating that the protocol is deployable, not
 // just simulable.
 package transport
@@ -47,11 +48,20 @@ type Faults interface {
 	// SetLoss changes the per-message drop probability at runtime.
 	SetLoss(rate float64)
 	// SetLatency changes the base delivery delay and the uniform random
-	// jitter bound at runtime.
+	// jitter bound at runtime. It never reorders a link: a message sent
+	// after the call, however short its delay, is delivered after the
+	// messages already in flight on its directed link.
 	SetLatency(latency, jitter time.Duration)
 }
 
 // Endpoint is one replica's attachment to a network.
+//
+// Every directed link is FIFO: envelopes one endpoint sends to one peer are
+// received in the order they were sent, on Memory (one ordered delay line
+// per destination) as on TCP (one connection per peer). Messages may be
+// lost, never reordered within a link; different links are independent.
+// The fast-update path relies on it — a fast entry that arrives ahead of its
+// predecessor is dropped as a gap.
 type Endpoint interface {
 	// Send delivers env to env.To. Delivery is asynchronous; an error means
 	// the message will never arrive (closed, unknown peer, or injected
