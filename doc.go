@@ -10,7 +10,9 @@
 //
 //	internal/core        high-level API: build a System, Simulate it, or
 //	                     run it as a live Cluster
-//	internal/node        the replica protocol state machine (paper §2.1)
+//	internal/node        the replica protocol state machine (paper §2.1):
+//	                     sessions, fast-update chains, and adverts whose
+//	                     summary vector lets a replica no chain reaches pull
 //	internal/policy      partner selection: random / demand-static /
 //	                     demand-dynamic / ablation baselines
 //	internal/vclock      timestamps and summary vectors

@@ -282,7 +282,10 @@ type Scenario struct {
 	// negative value (clamped to 0 before the workload runs).
 	Load workload.Config
 	// SessionInterval and AdvertInterval tune the protocol (defaults 15ms
-	// and 5ms — fast convergence keeps scenarios short).
+	// and 5ms — fast convergence keeps scenarios short). Adverts carry the
+	// summary vector (≈ 2–3 B per origin on a byte-charging link), so theirs
+	// also bounds how long a replica a frame or less behind and off every
+	// fast-update chain waits.
 	SessionInterval time.Duration
 	AdvertInterval  time.Duration
 	// QuiesceTimeout bounds each convergence wait and probe (default 30s).

@@ -101,16 +101,6 @@ func (t *Table) ByDemand() []TableEntry {
 	return out
 }
 
-// Best returns the reachable neighbour with highest recorded demand — the
-// fast-update target of §2.1 step 13.
-func (t *Table) Best() (TableEntry, bool) {
-	ranked := t.ByDemand()
-	if len(ranked) == 0 {
-		return TableEntry{}, false
-	}
-	return ranked[0], true
-}
-
 // bestWhere returns the highest-demand reachable neighbour for which skip
 // reports false, ties broken by lower node id — the selection order of
 // ByDemand without sorting or materialising the ranked slice.

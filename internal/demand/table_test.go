@@ -70,13 +70,13 @@ func TestTableBest(t *testing.T) {
 	tab := NewTable([]NodeID{1, 2})
 	tab.Update(1, 3, 0)
 	tab.Update(2, 9, 0)
-	best, ok := tab.Best()
+	best, ok := tab.BestExcept(nil)
 	if !ok || best.Node != 2 {
-		t.Errorf("Best = (%+v, %t), want n2", best, ok)
+		t.Errorf("BestExcept(nil) = (%+v, %t), want n2", best, ok)
 	}
 	empty := NewTable(nil)
-	if _, ok := empty.Best(); ok {
-		t.Error("Best of empty table should report false")
+	if _, ok := empty.BestExcept(nil); ok {
+		t.Error("BestExcept(nil) of empty table should report false")
 	}
 }
 
@@ -160,16 +160,16 @@ func TestTableUnreachable(t *testing.T) {
 	tab.Update(2, 20, 0)
 	tab.MarkUnreachable(2, 1)
 	// Unreachable neighbours are skipped by selection.
-	best, ok := tab.Best()
+	best, ok := tab.BestExcept(nil)
 	if !ok || best.Node != 1 {
-		t.Errorf("Best after MarkUnreachable = (%v, %t), want n1", best.Node, ok)
+		t.Errorf("BestExcept(nil) after MarkUnreachable = (%v, %t), want n1", best.Node, ok)
 	}
 	if len(tab.ByDemand()) != 1 {
 		t.Error("ByDemand should exclude unreachable neighbours")
 	}
 	// A later successful advertisement restores reachability.
 	tab.Update(2, 20, 2)
-	if best, _ := tab.Best(); best.Node != 2 {
+	if best, _ := tab.BestExcept(nil); best.Node != 2 {
 		t.Error("Update should restore reachability")
 	}
 	// Marking an untracked node adds an unreachable entry.
@@ -223,7 +223,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				tab.Update(NodeID(j%4), float64(j), float64(j))
 				tab.ByDemand()
-				tab.Best()
+				tab.BestExcept(nil)
 				tab.Demand(NodeID(j % 4))
 			}
 		}(i)

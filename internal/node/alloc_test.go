@@ -20,13 +20,46 @@ func allocNode(id NodeID, neighbors []NodeID) *Node {
 }
 
 // TestHandleDemandAdvertAllocs guards the cheapest, most frequent protocol
-// message: a demand advertisement must be absorbed without allocating.
+// message: a demand advertisement that finds no standing gap — no summary, a
+// neighbour's first, or a previous summary the log covers — must be absorbed
+// without allocating and without output.
 func TestHandleDemandAdvertAllocs(t *testing.T) {
-	n := allocNode(1, []NodeID{0, 2})
-	env := protocol.Envelope{From: 2, To: 1, Msg: protocol.DemandAdvert{Demand: 3}}
-	n.HandleMessage(0, env) // warm the table row
-	if avg := testing.AllocsPerRun(100, func() { n.HandleMessage(1, env) }); avg != 0 {
-		t.Errorf("HandleMessage(DemandAdvert) allocates %v per run, want 0", avg)
+	const runs = 100
+	many := make([]NodeID, runs+2) // AllocsPerRun calls once more to warm up
+	for i := range many {
+		many[i] = NodeID(i + 2)
+	}
+	ahead := vclock.NewSummary()
+	ahead.Advance(0, 5)
+	covered := vclock.NewSummary()
+	covered.Advance(1, 1)
+	cases := []struct {
+		name      string
+		neighbors []NodeID
+		advert    protocol.Message // boxed once, as a transport delivers it
+		nextFrom  func(i int) NodeID
+	}{
+		{"no summary", []NodeID{0, 2}, protocol.DemandAdvert{Demand: 3}, func(int) NodeID { return 2 }},
+		{"first from each neighbour", many, protocol.DemandAdvert{Demand: 3, Summary: ahead}, func(i int) NodeID { return many[i] }},
+		{"previous summary covered", []NodeID{0, 2}, protocol.DemandAdvert{Demand: 3, Summary: covered}, func(int) NodeID { return 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := allocNode(1, tc.neighbors)
+			n.ClientWrite(0, "k", []byte("v")) // n covers n1:1
+			i, emitted := 0, 0
+			avg := testing.AllocsPerRun(runs, func() {
+				env := protocol.Envelope{From: tc.nextFrom(i), To: 1, Msg: tc.advert}
+				i++
+				emitted += len(n.HandleMessage(1, env))
+			})
+			if avg != 0 || emitted != 0 {
+				t.Errorf("HandleMessage(DemandAdvert) allocates %v per run and emitted %d envelopes, want 0 and 0", avg, emitted)
+			}
+			if n.Stats().AdvertPulls != 0 {
+				t.Errorf("AdvertPulls = %d, want 0", n.Stats().AdvertPulls)
+			}
+		})
 	}
 }
 

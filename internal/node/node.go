@@ -126,6 +126,7 @@ type Stats struct {
 	FastEntriesGained  uint64 // entries first learned through fast update
 	GapDrops           uint64 // fast-payload entries dropped for gaps
 	AdvertsSent        uint64
+	AdvertPulls        uint64 // id-0 summaries sent: a gap an advert named stood one interval
 	MessagesHandled    uint64
 	SnapshotsSent      uint64 // full-state transfers sent (truncation recovery)
 	SnapshotsReceived  uint64
@@ -146,10 +147,14 @@ type Node struct {
 	lamport  uint64
 
 	nextSession uint64
-	// initiated tracks sessions this node started: sessionID -> partner.
-	initiated map[uint64]NodeID
-	// accepted tracks sessions this node is responding to.
-	accepted map[uint64]NodeID
+	// initiated tracks the session this node last started with each partner
+	// (partner -> sessionID): one whose tail was lost is replaced, not leaked.
+	initiated map[NodeID]uint64
+	// accepted tracks the session this node is responding to, per partner.
+	accepted map[NodeID]uint64
+	// advertised holds the summary each neighbour's latest advert carried —
+	// the sender's read-only clone, one pointer per demand-table row.
+	advertised map[NodeID]*vclock.Summary
 
 	// offerSkip is the reusable fast-offer exclusion buffer; node methods
 	// are single-threaded per replica, so one buffer per node suffices.
@@ -172,17 +177,22 @@ func New(cfg Config) *Node {
 	if cfg.FanOut <= 0 {
 		cfg.FanOut = 1
 	}
-	return &Node{
-		cfg:       cfg,
-		log:       wlog.New(),
-		st:        store.New(),
-		table:     demand.NewTable(cfg.Neighbors),
-		selector:  cfg.Selector,
-		journal:   cfg.Journal,
-		observer:  cfg.Observer,
-		initiated: make(map[uint64]NodeID),
-		accepted:  make(map[uint64]NodeID),
+	n := &Node{
+		cfg:        cfg,
+		log:        wlog.New(),
+		st:         store.New(),
+		table:      demand.NewTable(cfg.Neighbors),
+		selector:   cfg.Selector,
+		journal:    cfg.Journal,
+		observer:   cfg.Observer,
+		initiated:  make(map[NodeID]uint64),
+		accepted:   make(map[NodeID]uint64),
+		advertised: make(map[NodeID]*vclock.Summary, len(cfg.Neighbors)),
 	}
+	for _, nb := range cfg.Neighbors { // a first advert allocates no row
+		n.advertised[nb] = nil
+	}
+	return n
 }
 
 // AttachJournal installs (or replaces) the durability hook after
@@ -336,7 +346,7 @@ func (n *Node) StartSession(now float64, r *rand.Rand) []protocol.Envelope {
 	}
 	n.nextSession++
 	id := uint64(n.cfg.ID)<<32 | n.nextSession
-	n.initiated[id] = partner
+	n.initiated[partner] = id
 	n.stats.SessionsInitiated++
 	return []protocol.Envelope{{
 		From: n.cfg.ID,
@@ -346,16 +356,13 @@ func (n *Node) StartSession(now float64, r *rand.Rand) []protocol.Envelope {
 }
 
 // AdvertiseDemand emits the periodic §4 demand advertisement to every
-// neighbour.
+// neighbour, with the summary vector attached: one clone per tick, shared by
+// the tick's envelopes and never mutated after (see onDemandAdvert).
 func (n *Node) AdvertiseDemand(now float64) []protocol.Envelope {
 	out := make([]protocol.Envelope, 0, len(n.cfg.Neighbors))
-	d := n.OwnDemand(now)
+	var adv protocol.Message = protocol.DemandAdvert{Demand: n.OwnDemand(now), Summary: n.log.Summary()}
 	for _, nb := range n.cfg.Neighbors {
-		out = append(out, protocol.Envelope{
-			From: n.cfg.ID,
-			To:   nb,
-			Msg:  protocol.DemandAdvert{Demand: d},
-		})
+		out = append(out, protocol.Envelope{From: n.cfg.ID, To: nb, Msg: adv})
 	}
 	n.stats.AdvertsSent += uint64(len(out))
 	return out
@@ -382,8 +389,7 @@ func (n *Node) HandleMessage(now float64, env protocol.Envelope) []protocol.Enve
 	case protocol.FastPayload:
 		return n.onFastPayload(now, env.From, m)
 	case protocol.DemandAdvert:
-		n.noteDemand(env.From, m.Demand, now)
-		return nil
+		return n.onDemandAdvert(now, env.From, m)
 	case protocol.Snapshot:
 		return n.onSnapshot(now, env.From, m)
 	default:
@@ -391,20 +397,42 @@ func (n *Node) HandleMessage(now float64, env protocol.Envelope) []protocol.Enve
 	}
 }
 
+// onDemandAdvert notes the neighbour's demand and keeps the summary it
+// advertised — steps 3–4 of a session, unsolicited. When the one from the tick
+// before names writes the log still lacks, they are not in flight on a chain
+// but off every chain: the node answers as an initiator would (step 6) under
+// session id 0, which no timer session has, and the neighbour's responder
+// half (onSummary → batchesFor) ships the difference if it fits one frame.
+func (n *Node) onDemandAdvert(now float64, from NodeID, m protocol.DemandAdvert) []protocol.Envelope {
+	n.noteDemand(from, m.Demand, now)
+	if m.Summary == nil {
+		return nil
+	}
+	prev := n.advertised[from]
+	n.advertised[from] = m.Summary
+	if prev == nil || n.log.LagBehind(prev) == 0 {
+		return nil
+	}
+	n.stats.AdvertPulls++
+	return []protocol.Envelope{n.summaryFor(now, from, 0)}
+}
+
+// summaryFor is this node's summary vector, addressed to partner under
+// session id (steps 4 and 6).
+func (n *Node) summaryFor(now float64, partner NodeID, id uint64) protocol.Envelope {
+	return protocol.Envelope{
+		From: n.cfg.ID,
+		To:   partner,
+		Msg:  protocol.SummaryMsg{SessionID: id, Summary: n.log.Summary(), Demand: n.OwnDemand(now)},
+	}
+}
+
 // onSessionRequest is step 3–4: the responder sends its summary vector.
 func (n *Node) onSessionRequest(now float64, from NodeID, m protocol.SessionRequest) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
-	n.accepted[m.SessionID] = from
+	n.accepted[from] = m.SessionID
 	n.stats.SessionsReceived++
-	return []protocol.Envelope{{
-		From: n.cfg.ID,
-		To:   from,
-		Msg: protocol.SummaryMsg{
-			SessionID: m.SessionID,
-			Summary:   n.log.Summary(),
-			Demand:    n.OwnDemand(now),
-		},
-	}}
+	return []protocol.Envelope{n.summaryFor(now, from, m.SessionID)}
 }
 
 // onSummary handles a partner's summary vector.
@@ -413,20 +441,13 @@ func (n *Node) onSessionRequest(now float64, from NodeID, m protocol.SessionRequ
 // summary plus every entry the responder is missing.
 //
 // Responder path (steps 9–11): on the initiator's summary, send every entry
-// the initiator is missing; this completes the responder's half.
+// the initiator is missing; this completes the responder's half. So does a
+// late reply to a replaced session, and the id-0 answer to an advert.
 func (n *Node) onSummary(now float64, from NodeID, m protocol.SummaryMsg) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	var out []protocol.Envelope
-	if partner, ok := n.initiated[m.SessionID]; ok && partner == from {
-		out = append(out, protocol.Envelope{
-			From: n.cfg.ID,
-			To:   from,
-			Msg: protocol.SummaryMsg{
-				SessionID: m.SessionID,
-				Summary:   n.log.Summary(),
-				Demand:    n.OwnDemand(now),
-			},
-		})
+	if id, ok := n.initiated[from]; ok && id == m.SessionID {
+		out = append(out, n.summaryFor(now, from, m.SessionID))
 	}
 	out = append(out, n.batchesFor(now, from, m.SessionID, m.Summary)...)
 	return out
@@ -434,9 +455,15 @@ func (n *Node) onSummary(now float64, from NodeID, m protocol.SummaryMsg) []prot
 
 // batchesFor builds the UpdateBatch messages carrying what partner lacks,
 // or a full-state Snapshot when log truncation has discarded entries the
-// partner still needs (the Bayou recovery path).
+// partner still needs (the Bayou recovery path). An advert pull (id 0) has no
+// session to close, so nothing missing sends nothing, and it is a frame-sized
+// repair: a backlog over one frame, or a Snapshot, per neighbour per tick is
+// not its to draw — bulk catch-up stays with the timer session.
 func (n *Node) batchesFor(now float64, partner NodeID, sessionID uint64, theirs *vclock.Summary) []protocol.Envelope {
 	missing, err := n.log.MissingGiven(theirs)
+	if sessionID == 0 && (err != nil || len(missing) == 0 || !fitsFrame(missing)) {
+		return nil
+	}
 	if err != nil {
 		n.stats.SnapshotsSent++
 		return []protocol.Envelope{{
@@ -490,8 +517,7 @@ func (n *Node) onUpdateBatch(now float64, from NodeID, m protocol.UpdateBatch) [
 	gained := n.absorb(m.Entries)
 	n.stats.EntriesReceived += uint64(len(m.Entries))
 	if m.Final {
-		delete(n.initiated, m.SessionID)
-		delete(n.accepted, m.SessionID)
+		n.closeSession(from, m.SessionID)
 	}
 	return n.fastOffers(now, gained, 0, from)
 }
@@ -701,8 +727,7 @@ func (n *Node) onSnapshot(now float64, from NodeID, m protocol.Snapshot) []proto
 	if n.journal != nil {
 		n.journal.JournalAdopt(m.Summary, m.Items, n.lamport)
 	}
-	delete(n.initiated, m.SessionID)
-	delete(n.accepted, m.SessionID)
+	n.closeSession(from, m.SessionID)
 	return nil
 }
 
@@ -724,6 +749,16 @@ func (n *Node) AbsorbItems(items []store.Item) {
 	}
 }
 
-// OpenSessions returns how many sessions the node is currently tracking (as
-// initiator or responder); it should return to 0 when the network quiesces.
+// closeSession forgets session id with partner; a replaced one's tail, nothing.
+func (n *Node) closeSession(partner NodeID, id uint64) {
+	if n.initiated[partner] == id {
+		delete(n.initiated, partner)
+	}
+	if n.accepted[partner] == id {
+		delete(n.accepted, partner)
+	}
+}
+
+// OpenSessions returns how many sessions the node is tracking, at most one per
+// partner and role; it should return to 0 when the network quiesces.
 func (n *Node) OpenSessions() int { return len(n.initiated) + len(n.accepted) }

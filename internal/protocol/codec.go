@@ -273,6 +273,10 @@ func (e *encoder) envelope(env Envelope) error {
 		e.uvarint(uint64(m.Hops))
 	case DemandAdvert:
 		e.f64(m.Demand)
+		e.bool(m.Summary != nil)
+		if m.Summary != nil {
+			e.summary(m.Summary)
+		}
 	case Snapshot:
 		e.uvarint(m.SessionID)
 		e.summary(m.Summary)
@@ -364,7 +368,11 @@ func Unmarshal(buf []byte) (Envelope, error) {
 		m.Hops = uint32(d.uvarint())
 		env.Msg = m
 	case TypeDemandAdvert:
-		env.Msg = DemandAdvert{Demand: d.f64()}
+		m := DemandAdvert{Demand: d.f64()}
+		if d.bool() {
+			m.Summary = d.summary()
+		}
+		env.Msg = m
 	case TypeSnapshot:
 		m := Snapshot{SessionID: d.uvarint(), Summary: d.summary()}
 		n := d.uvarint()

@@ -47,6 +47,8 @@ func allMessages() []Message {
 		FastReply{Accept: false},
 		FastPayload{Entries: sampleEntries()[:1], Demand: 5, Hops: 1},
 		DemandAdvert{Demand: 77.25},
+		DemandAdvert{Demand: 77.25, Summary: sampleSummary()},
+		DemandAdvert{Summary: vclock.NewSummary()},
 		Snapshot{SessionID: 9, Summary: sampleSummary(), Items: []store.Item{
 			{Key: "a", Value: []byte("v1"), TS: ts(1, 1), Clock: 3},
 			{Key: "b", Value: nil, TS: ts(2, 4), Clock: 9},
@@ -90,6 +92,16 @@ func assertMessagesEqual(t *testing.T, want, got Message) {
 		}
 		if w.Summary.Compare(g.Summary) != vclock.Equal {
 			t.Fatalf("summary vector: got %v, want %v", g.Summary, w.Summary)
+		}
+		return
+	}
+	if w, ok := want.(DemandAdvert); ok {
+		g := got.(DemandAdvert)
+		if w.Demand != g.Demand || (w.Summary == nil) != (g.Summary == nil) {
+			t.Fatalf("advert fields: got %+v, want %+v", g, w)
+		}
+		if w.Summary.Compare(g.Summary) != vclock.Equal {
+			t.Fatalf("advert summary: got %v, want %v", g.Summary, w.Summary)
 		}
 		return
 	}
@@ -208,6 +220,24 @@ func TestUnmarshalRejectsHugeDeclaredLengths(t *testing.T) {
 	if _, err := Unmarshal(e.buf); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
+	// An advert's summary is bounded as a session's is.
+	if _, err := Unmarshal(advertWire(func(e *encoder) { e.uvarint(1 << 40) })); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("advert summary of 2^40 pairs: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// advertWire hand-encodes a demand advert whose presence flag is set and
+// whose summary bytes are whatever summary writes.
+func advertWire(summary func(e *encoder)) []byte {
+	e := &encoder{}
+	e.u8(Version)
+	e.u8(uint8(TypeDemandAdvert))
+	e.varint(1) // from
+	e.varint(2) // to
+	e.f64(1.25) // demand
+	e.bool(true)
+	summary(e)
+	return e.buf
 }
 
 func TestUnmarshalRejectsHostileNodeIDs(t *testing.T) {
@@ -251,6 +281,32 @@ func TestUnmarshalRejectsHostileNodeIDs(t *testing.T) {
 		e.f64(1.25)       // demand
 		if _, err := Unmarshal(e.buf); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	for name, origin := range map[string]int64{"huge": 1 << 30, "just past the bound": maxNodeID + 1, "negative": -5} {
+		t.Run(name+" advert summary origin", func(t *testing.T) {
+			buf := advertWire(func(e *encoder) {
+				e.uvarint(1) // one pair
+				e.varint(origin)
+				e.uvarint(3)
+			})
+			if _, err := Unmarshal(buf); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+	t.Run("advert summary origin at the bound", func(t *testing.T) {
+		buf := advertWire(func(e *encoder) {
+			e.uvarint(1)
+			e.varint(maxNodeID)
+			e.uvarint(3)
+		})
+		env, err := Unmarshal(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Msg.(DemandAdvert).Summary.Get(maxNodeID); got != 3 {
+			t.Errorf("summary[maxNodeID] = %d, want 3", got)
 		}
 	})
 }

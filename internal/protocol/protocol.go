@@ -16,7 +16,9 @@
 //     that saves payload when the neighbour has some of the offered writes.
 //   - FastPayload     — step 17: the update messages themselves.
 //   - DemandAdvert    — §4: periodic advertisement of a replica's demand to
-//     its neighbours, "in a way similar to IP routing algorithms".
+//     its neighbours, "in a way similar to IP routing algorithms". It
+//     carries the sender's summary vector too — steps 3–4 unsolicited; a
+//     SummaryMsg of session id 0 answers it and draws a frame-sized difference.
 //
 // Every message carries the sender's current demand so tables refresh for
 // free on any contact ("it requires few additional bytes in the exchange of
@@ -145,9 +147,14 @@ type FastPayload struct {
 // MsgType implements Message.
 func (FastPayload) MsgType() Type { return TypeFastPayload }
 
-// DemandAdvert is the periodic neighbour-table refresh of §4.
+// DemandAdvert is the periodic neighbour-table refresh of §4. Summary is the
+// sender's summary vector at the tick, one read-only clone shared by the
+// tick's envelopes; nil means "demand only". A receiver still lacking what
+// the previous advert named pulls it with a SummaryMsg whose SessionID is 0,
+// answered only when the difference fits one network frame.
 type DemandAdvert struct {
-	Demand float64
+	Demand  float64
+	Summary *vclock.Summary
 }
 
 // MsgType implements Message.

@@ -138,12 +138,13 @@ func (c *Cluster) registerReplicaObs(id NodeID) {
 	counter("repro_node_gap_drops_total",
 		"Received entries dropped for arriving out of sequence order.",
 		func(s node.Stats) uint64 { return s.GapDrops })
-	counter("repro_node_sessions_total",
-		"Anti-entropy sessions by role.",
+	const sessionsHelp = "Anti-entropy sessions by role; advert counts the pulls a neighbour's advertised summary drew."
+	counter("repro_node_sessions_total", sessionsHelp,
 		func(s node.Stats) uint64 { return s.SessionsInitiated }, obs.L("role", "initiator"))
-	counter("repro_node_sessions_total",
-		"Anti-entropy sessions by role.",
+	counter("repro_node_sessions_total", sessionsHelp,
 		func(s node.Stats) uint64 { return s.SessionsReceived }, obs.L("role", "responder"))
+	counter("repro_node_sessions_total", sessionsHelp,
+		func(s node.Stats) uint64 { return s.AdvertPulls }, obs.L("role", "advert"))
 	counter("repro_node_entries_total",
 		"Write-log entries exchanged in anti-entropy sessions, by direction.",
 		func(s node.Stats) uint64 { return s.EntriesSent }, obs.L("dir", "sent"))

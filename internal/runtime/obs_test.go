@@ -106,9 +106,16 @@ func TestObsWriteAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < n; id++ {
-		want := fmt.Sprintf(`repro_node_fast_offers_total{event="pushed",replica="n%d"} %d`, id, c.Stats(NodeID(id)).FastPushesSent)
-		if !strings.Contains(text.String(), want) {
-			t.Errorf("exposition lacks %q", want)
+		// Converged and idle: the counters no longer move between the scrape
+		// and this read. Pulls an advert drew sit beside the timer sessions.
+		st := c.Stats(NodeID(id))
+		for _, want := range []string{
+			fmt.Sprintf(`repro_node_fast_offers_total{event="pushed",replica="n%d"} %d`, id, st.FastPushesSent),
+			fmt.Sprintf(`repro_node_sessions_total{replica="n%d",role="advert"} %d`, id, st.AdvertPulls),
+		} {
+			if !strings.Contains(text.String(), want) {
+				t.Errorf("exposition lacks %q", want)
+			}
 		}
 	}
 }

@@ -453,3 +453,31 @@ func TestReleaseStageDropsQueuedEnvelopesOnSyncError(t *testing.T) {
 		t.Fatalf("%v escaped although its covering sync failed", env)
 	}
 }
+
+// TestAdvertPullAnswerWaitsForCoveringSync: a durable replica answering the
+// id-0 summary an advert drew sends through the same egress gate as a session
+// reply — nothing on the wire while the covering sync is stalled (next fails
+// the test on a leak), then exactly one batch carrying the whole difference.
+func TestAdvertPullAnswerWaitsForCoveringSync(t *testing.T) {
+	p := startHeld(t, false)
+	r := p.c.replicas[0]
+	p.send(protocol.SummaryMsg{Summary: vclock.NewSummary()})
+	p.until("the pull's answer to queue behind the held reply", func() bool { return r.ackq.depth() >= 2 })
+	pulled := func(env protocol.Envelope) bool {
+		b, ok := env.Msg.(protocol.UpdateBatch)
+		return ok && b.SessionID == 0
+	}
+	env, ok := p.next(5*time.Second, pulled)
+	if !ok {
+		t.Fatal("the pull's answer never left after its covering sync")
+	}
+	if b := env.Msg.(protocol.UpdateBatch); !carriesHeld(env) || len(b.Entries) != 2 || !b.Final {
+		t.Fatalf("answer = %+v, want one final batch of both writes", b)
+	}
+	if err := <-p.done; err != nil {
+		t.Fatalf("held write failed: %v", err)
+	}
+	if env, ok := p.next(50*time.Millisecond, pulled); ok {
+		t.Fatalf("second answer %v to one pull", env)
+	}
+}

@@ -114,6 +114,49 @@ func TestWatchRecordsPropagationOrder(t *testing.T) {
 	}
 }
 
+// TestAdvertPullCoversReplicaOffEveryChain: on a line with the demand peak at
+// node 0, a write at node 3 chains toward the peak (3 -> 2 -> 1 -> 0) and no
+// chain ever turns to node 4. With the session timer an hour away, node 4 is
+// covered by the adverts alone: node 3's first advert after the write names
+// it, the second finds the gap still standing, node 4 pulls and node 3
+// answers — two advert intervals and three link delays.
+func TestAdvertPullCoversReplicaOffEveryChain(t *testing.T) {
+	const (
+		advert = 25 * time.Millisecond
+		link   = 2 * time.Millisecond
+		slack  = 150 * time.Millisecond // scheduling, -race
+	)
+	c := startCluster(t, topology.Line(5), demand.Static{5, 4, 3, 2, 1}, WithSeed(7),
+		WithNetwork(transport.MemoryConfig{Latency: link, Seed: 7}),
+		WithSessionInterval(time.Hour),
+		WithAdvertInterval(advert))
+
+	ts, err := c.Write(3, "k", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.Watch(ts)
+	select {
+	case <-w.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("write never reached every replica without a session; covered so far: %v", w.Times())
+	}
+	if d, _ := w.TimeOf(4); d > 2*advert+3*link+slack {
+		t.Errorf("far replica covered after %v, want within 2 advert intervals + 3 link delays (%v) + %v",
+			d, 2*advert+3*link, slack)
+	}
+	far := c.Stats(4)
+	if far.AdvertPulls == 0 || far.FastEntriesGained != 0 || far.EntriesAbsorbed != 1 {
+		t.Errorf("far replica: %d advert pulls, %d of %d entries by fast update; want the entry pulled, not pushed",
+			far.AdvertPulls, far.FastEntriesGained, far.EntriesAbsorbed)
+	}
+	for id := NodeID(0); id < 5; id++ {
+		if s := c.Stats(id); s.SessionsInitiated != 0 || s.SnapshotsSent != 0 {
+			t.Errorf("replica %v: %d sessions, %d snapshots; the timer session was an hour away", id, s.SessionsInitiated, s.SnapshotsSent)
+		}
+	}
+}
+
 func TestWatchExistingCoverage(t *testing.T) {
 	g := topology.Line(2)
 	c := startCluster(t, g, demand.Static{1, 1}, WithSeed(9))

@@ -337,6 +337,7 @@ func addStats(a *node.Stats, b node.Stats) {
 	a.FastEntriesGained += b.FastEntriesGained
 	a.GapDrops += b.GapDrops
 	a.AdvertsSent += b.AdvertsSent
+	a.AdvertPulls += b.AdvertPulls
 	a.MessagesHandled += b.MessagesHandled
 	a.SnapshotsSent += b.SnapshotsSent
 	a.SnapshotsReceived += b.SnapshotsReceived

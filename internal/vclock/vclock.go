@@ -384,24 +384,6 @@ func (s *Summary) Total() uint64 {
 	return total
 }
 
-// Pairs returns the vector as an (origin, highest-seq) map copy, for
-// serialisation.
-func (s *Summary) Pairs() map[NodeID]uint64 {
-	out := make(map[NodeID]uint64, s.Len())
-	s.ForEach(func(node NodeID, seq uint64) { out[node] = seq })
-	return out
-}
-
-// FromPairs reconstructs a summary from serialised (origin, highest-seq)
-// pairs. Zero sequences are dropped.
-func FromPairs(pairs map[NodeID]uint64) *Summary {
-	s := NewSummary()
-	for node, seq := range pairs {
-		s.Advance(node, seq)
-	}
-	return s
-}
-
 // String renders the vector as "{n0:3 n2:1}" with origins in ascending order.
 func (s *Summary) String() string {
 	var b strings.Builder

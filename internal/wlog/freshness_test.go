@@ -6,7 +6,7 @@ import (
 	"repro/internal/vclock"
 )
 
-func TestLogLagBehindAndCoversSummary(t *testing.T) {
+func TestLogLagBehind(t *testing.T) {
 	l := New()
 	for i := 0; i < 3; i++ {
 		l.Append(0, "k", []byte("v"), uint64(i+1))
@@ -17,17 +17,11 @@ func TestLogLagBehindAndCoversSummary(t *testing.T) {
 	if got := l.LagBehind(want); got != 0 {
 		t.Errorf("lag behind covered summary = %d, want 0", got)
 	}
-	if !l.CoversSummary(want) {
-		t.Error("log should cover a summary behind its head")
-	}
 
 	want.Advance(0, 5) // two writes the log has not seen
 	want.Advance(7, 4) // four more from an unknown origin
 	if got := l.LagBehind(want); got != 6 {
 		t.Errorf("lag behind ahead summary = %d, want 6", got)
-	}
-	if l.CoversSummary(want) {
-		t.Error("log must not cover a summary ahead of it")
 	}
 }
 
@@ -44,53 +38,5 @@ func TestLogMergeSummaryInto(t *testing.T) {
 	}
 	if got := dst.Get(0); got != 9 {
 		t.Errorf("merge clobbered origin 0: head %d, want 9", got)
-	}
-}
-
-func TestLogReadCovered(t *testing.T) {
-	l := New()
-	for i := 0; i < 4; i++ {
-		l.Append(0, "k", []byte("v"), uint64(i+1))
-	}
-
-	// Covered with merge: the token learns the log's head.
-	tok := vclock.NewSummary()
-	tok.Advance(0, 2)
-	lag, ok := l.ReadCovered(tok, 0, true)
-	if !ok || lag != 0 {
-		t.Fatalf("ReadCovered(covered) = (%d, %v), want (0, true)", lag, ok)
-	}
-	if got := tok.Get(0); got != 4 {
-		t.Errorf("merge left token head at %d, want 4", got)
-	}
-
-	// Ahead of the log: not ok, token untouched.
-	tok.Advance(0, 10)
-	lag, ok = l.ReadCovered(tok, 0, true)
-	if ok || lag != 6 {
-		t.Errorf("ReadCovered(ahead) = (%d, %v), want (6, false)", lag, ok)
-	}
-	if got := tok.Get(0); got != 10 {
-		t.Errorf("failed probe mutated token head to %d", got)
-	}
-
-	// The same probe under a staleness bound admits the lag.
-	lag, ok = l.ReadCovered(tok, 6, false)
-	if !ok || lag != 6 {
-		t.Errorf("ReadCovered(maxLag 6) = (%d, %v), want (6, true)", lag, ok)
-	}
-}
-
-func TestLogReadCoveredNoAlloc(t *testing.T) {
-	l := New()
-	for i := 0; i < 8; i++ {
-		l.Append(0, "k", []byte("v"), uint64(i+1))
-	}
-	tok := vclock.NewSummary()
-	// One merging probe grows the token to the log's width; after that the
-	// covered probe must be allocation-free.
-	l.ReadCovered(tok, 0, true)
-	if avg := testing.AllocsPerRun(100, func() { l.ReadCovered(tok, 0, true) }); avg != 0 {
-		t.Errorf("covered ReadCovered allocates %v per run, want 0", avg)
 	}
 }

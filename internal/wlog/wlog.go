@@ -351,14 +351,6 @@ func (l *Log) LagBehind(want *vclock.Summary) uint64 {
 	return l.summary.LagBehind(want)
 }
 
-// CoversSummary reports whether the log has received every write want
-// covers, without cloning the vector.
-func (l *Log) CoversSummary(want *vclock.Summary) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.summary.LagBehind(want) == 0
-}
-
 // MergeSummaryInto folds the log's summary into dst (element-wise max)
 // without cloning the vector. dst must not be shared with other
 // goroutines; the log's own summary is only read.
@@ -366,24 +358,6 @@ func (l *Log) MergeSummaryInto(dst *vclock.Summary) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	dst.Merge(&l.summary)
-}
-
-// ReadCovered is the session-read freshness probe, one lock round-trip on
-// the leveled read fast path. It returns the log's lag behind want (the
-// writes want covers that the log has not received) and whether that lag
-// is within maxLag. When it is and merge is set, the log's summary is
-// folded into want under the same read lock — the monotonic-reads token
-// update — so a covered session read costs a single lock acquisition and
-// zero allocations once want's vector has grown to the log's width.
-func (l *Log) ReadCovered(want *vclock.Summary, maxLag uint64, merge bool) (lag uint64, ok bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	lag = l.summary.LagBehind(want)
-	ok = lag <= maxLag
-	if ok && merge {
-		want.Merge(&l.summary)
-	}
-	return lag, ok
 }
 
 // Get returns the entry named by ts, if it is retained. The entry shares the
@@ -440,20 +414,6 @@ func (l *Log) MissingGiven(partner *vclock.Summary) ([]Entry, error) {
 		out = l.byOrigin[origin].appendRange(out, int(theirs-base), int(have-base))
 	})
 	return out, nil
-}
-
-// MissingCount returns how many retained entries a partner with the given
-// summary is missing, without copying them.
-func (l *Log) MissingCount(partner *vclock.Summary) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	count := 0
-	l.summary.ForEach(func(origin vclock.NodeID, have uint64) {
-		if theirs := partner.Get(origin); theirs < have {
-			count += int(have - theirs)
-		}
-	})
-	return count
 }
 
 // Len returns the number of retained entries.

@@ -100,11 +100,12 @@ func TestMissingGiven(t *testing.T) {
 	if missing[1].TS != (vclock.Timestamp{Node: 2, Seq: 1}) {
 		t.Errorf("missing[1].TS = %v, want n2:1", missing[1].TS)
 	}
-	if got := l.MissingCount(partner); got != 2 {
-		t.Errorf("MissingCount = %d, want 2", got)
+	// The partner's lag behind the log counts what MissingGiven returns.
+	if got := partner.LagBehind(l.Summary()); got != 2 {
+		t.Errorf("partner.LagBehind(log) = %d, want 2", got)
 	}
-	if got := l.MissingCount(l.Summary()); got != 0 {
-		t.Errorf("MissingCount(self) = %d, want 0", got)
+	if got, err := l.MissingGiven(l.Summary()); err != nil || len(got) != 0 {
+		t.Errorf("MissingGiven(self) = (%d entries, %v), want none", len(got), err)
 	}
 }
 
@@ -408,8 +409,8 @@ func TestLogHotPathAllocs(t *testing.T) {
 		t.Errorf("SummaryTotal allocates %v per run, want 0", avg)
 	}
 	partner := l.Summary()
-	if avg := testing.AllocsPerRun(100, func() { _ = l.MissingCount(partner) }); avg != 0 {
-		t.Errorf("MissingCount allocates %v per run, want 0", avg)
+	if avg := testing.AllocsPerRun(100, func() { _ = l.LagBehind(partner) }); avg != 0 {
+		t.Errorf("LagBehind allocates %v per run, want 0", avg)
 	}
 	// A fully caught-up partner costs nothing to serve.
 	if avg := testing.AllocsPerRun(100, func() { _, _ = l.MissingGiven(partner) }); avg != 0 {
