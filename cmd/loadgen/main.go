@@ -57,7 +57,7 @@ func run(args []string, w io.Writer) error {
 		valueBytes    = fs.Int("value-bytes", 64, "write payload size")
 		routing       = fs.String("routing", "lowest", "replica routing: lowest | highest | random")
 		session       = fs.Duration("session", 25*time.Millisecond, "mean anti-entropy session interval")
-		advert        = fs.Duration("advert", 10*time.Millisecond, "demand advertisement interval; also how long a replica off every fast-update chain waits before it pulls a frame-sized backlog (adverts carry the summary vector, ~2-3 B per origin)")
+		advert        = fs.Duration("advert", 10*time.Millisecond, "demand advertisement interval; a replica off every fast-update chain waits about one interval + 3 link delays for a frame-sized backlog (adverts carry the summary vector, ~2-3 B per origin)")
 		seed          = fs.Int64("seed", 1, "deterministic seed")
 		timeout       = fs.Duration("timeout", 2*time.Minute, "post-load convergence timeout")
 		dataDir       = fs.String("data-dir", "", "enable the durable persistence plane: per-shard WALs under this directory (writes fsync before ack)")

@@ -113,23 +113,23 @@ type Observer interface {
 
 // Stats counts protocol activity for one replica.
 type Stats struct {
-	SessionsInitiated  uint64
-	SessionsReceived   uint64
-	EntriesSent        uint64
-	EntriesReceived    uint64
+	SessionsInitiated  uint64 // timer sessions started (StartSession)
+	SessionsReceived   uint64 // session requests answered
+	EntriesSent        uint64 // entries shipped in UpdateBatches, pull answers included
+	EntriesReceived    uint64 // entries received in UpdateBatches, duplicates included
 	FastOffersSent     uint64 // ids-first offers (gains over one frame)
 	FastPushesSent     uint64 // frame-sized gains pushed as payloads, no offer
-	FastOffersReceived uint64
+	FastOffersReceived uint64 // ids-first offers received
 	FastOffersAccepted uint64 // offers we answered YES to
 	FastOffersDeclined uint64 // offers we answered NO to
-	FastEntriesSent    uint64
+	FastEntriesSent    uint64 // entries sent in FastPayloads, pushed or asked for
 	FastEntriesGained  uint64 // entries first learned through fast update
 	GapDrops           uint64 // fast-payload entries dropped for gaps
-	AdvertsSent        uint64
-	AdvertPulls        uint64 // id-0 summaries sent: a gap an advert named stood one interval
-	MessagesHandled    uint64
+	AdvertsSent        uint64 // demand adverts sent, one per neighbour per tick
+	AdvertPulls        uint64 // id-0 summaries sent: an advert named writes neither held nor expected by chain
+	MessagesHandled    uint64 // envelopes passed to HandleMessage
 	SnapshotsSent      uint64 // full-state transfers sent (truncation recovery)
-	SnapshotsReceived  uint64
+	SnapshotsReceived  uint64 // full-state transfers adopted
 	ClientWrites       uint64 // local client writes committed
 	EntriesAbsorbed    uint64 // entries gained from peers (new, non-duplicate)
 	DuplicateDrops     uint64 // received entries already covered (re-delivery)
@@ -155,6 +155,12 @@ type Node struct {
 	// advertised holds the summary each neighbour's latest advert carried —
 	// the sender's read-only clone, one pointer per demand-table row.
 	advertised map[NodeID]*vclock.Summary
+	// chained is the chain memory, one bit per origin: its writes last reached
+	// this node by fast update (set) or by an anti-entropy batch (clear).
+	chained map[NodeID]bool
+	// asked joins the log's summary with every advert a pull was sent against
+	// since this node's own tick: what is held or already asked for.
+	asked vclock.Summary
 
 	// offerSkip is the reusable fast-offer exclusion buffer; node methods
 	// are single-threaded per replica, so one buffer per node suffices.
@@ -177,7 +183,7 @@ func New(cfg Config) *Node {
 	if cfg.FanOut <= 0 {
 		cfg.FanOut = 1
 	}
-	n := &Node{
+	return &Node{
 		cfg:        cfg,
 		log:        wlog.New(),
 		st:         store.New(),
@@ -188,11 +194,8 @@ func New(cfg Config) *Node {
 		initiated:  make(map[NodeID]uint64),
 		accepted:   make(map[NodeID]uint64),
 		advertised: make(map[NodeID]*vclock.Summary, len(cfg.Neighbors)),
+		chained:    make(map[NodeID]bool),
 	}
-	for _, nb := range cfg.Neighbors { // a first advert allocates no row
-		n.advertised[nb] = nil
-	}
-	return n
 }
 
 // AttachJournal installs (or replaces) the durability hook after
@@ -293,8 +296,8 @@ func (n *Node) ClientWrite(now float64, key string, value []byte) (wlog.Entry, [
 
 // WriteOp is one client write queued for a group commit.
 type WriteOp struct {
-	Key   string
-	Value []byte
+	Key   string // the key written
+	Value []byte // the value; the write log copies it
 }
 
 // ClientWriteBatch folds a batch of concurrent local client writes into the
@@ -357,8 +360,11 @@ func (n *Node) StartSession(now float64, r *rand.Rand) []protocol.Envelope {
 
 // AdvertiseDemand emits the periodic §4 demand advertisement to every
 // neighbour, with the summary vector attached: one clone per tick, shared by
-// the tick's envelopes and never mutated after (see onDemandAdvert).
+// the tick's envelopes and never mutated after (see onDemandAdvert). The tick
+// also forgets what the node asked for since the last one, so a pull that drew
+// no answer (lost, or over a frame by then) is sent again within one interval.
 func (n *Node) AdvertiseDemand(now float64) []protocol.Envelope {
+	n.asked = vclock.Summary{}
 	out := make([]protocol.Envelope, 0, len(n.cfg.Neighbors))
 	var adv protocol.Message = protocol.DemandAdvert{Demand: n.OwnDemand(now), Summary: n.log.Summary()}
 	for _, nb := range n.cfg.Neighbors {
@@ -398,11 +404,16 @@ func (n *Node) HandleMessage(now float64, env protocol.Envelope) []protocol.Enve
 }
 
 // onDemandAdvert notes the neighbour's demand and keeps the summary it
-// advertised — steps 3–4 of a session, unsolicited. When the one from the tick
-// before names writes the log still lacks, they are not in flight on a chain
-// but off every chain: the node answers as an initiator would (step 6) under
-// session id 0, which no timer session has, and the neighbour's responder
-// half (onSummary → batchesFor) ships the difference if it fits one frame.
+// advertised — steps 3–4 of a session, unsolicited. Where that summary names
+// writes the log lacks, the node answers as an initiator would (step 6) under
+// session id 0, which no timer session has, and the neighbour's responder half
+// (onSummary → batchesFor) ships the difference if it fits one frame. Whether
+// a write it lacks is merely in flight the node tells from how that origin's
+// writes have been reaching it (chained): if by anti-entropy, no chain is
+// coming and it pulls at once; if by fast update, it pulls only a gap that the
+// neighbour's previous advert already named. One ask per tick: a gap another
+// pull since the node's own tick was sent against (asked) draws no second
+// one, and a gap too long for any frame (maxFrameEntries) none at all.
 func (n *Node) onDemandAdvert(now float64, from NodeID, m protocol.DemandAdvert) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	if m.Summary == nil {
@@ -410,9 +421,20 @@ func (n *Node) onDemandAdvert(now float64, from NodeID, m protocol.DemandAdvert)
 	}
 	prev := n.advertised[from]
 	n.advertised[from] = m.Summary
-	if prev == nil || n.log.LagBehind(prev) == 0 {
+	if lag := n.log.LagBehind(m.Summary); lag == 0 || lag > maxFrameEntries {
 		return nil
 	}
+	n.log.MergeSummaryInto(&n.asked)
+	pull := false
+	m.Summary.ForEach(func(origin NodeID, seq uint64) {
+		if have := n.asked.Get(origin); seq > have && (!n.chained[origin] || prev.Get(origin) > have) {
+			pull = true
+		}
+	})
+	if !pull {
+		return nil
+	}
+	n.asked.Merge(m.Summary)
 	n.stats.AdvertPulls++
 	return []protocol.Envelope{n.summaryFor(now, from, 0)}
 }
@@ -458,10 +480,19 @@ func (n *Node) onSummary(now float64, from NodeID, m protocol.SummaryMsg) []prot
 // partner still needs (the Bayou recovery path). An advert pull (id 0) has no
 // session to close, so nothing missing sends nothing, and it is a frame-sized
 // repair: a backlog over one frame, or a Snapshot, per neighbour per tick is
-// not its to draw — bulk catch-up stays with the timer session.
+// not its to draw — bulk catch-up stays with the timer session. A backlog of
+// more entries than any frame holds is turned away on the count alone, before
+// the list is built: a saturated group's adverts each name about a thousand.
 func (n *Node) batchesFor(now float64, partner NodeID, sessionID uint64, theirs *vclock.Summary) []protocol.Envelope {
+	if sessionID == 0 {
+		// Writes held here and not there: sum of max(0, ours - theirs).
+		ahead := n.log.SummaryTotal() + n.log.LagBehind(theirs) - theirs.Total()
+		if ahead == 0 || ahead > maxFrameEntries {
+			return nil
+		}
+	}
 	missing, err := n.log.MissingGiven(theirs)
-	if sessionID == 0 && (err != nil || len(missing) == 0 || !fitsFrame(missing)) {
+	if sessionID == 0 && (err != nil || !fitsFrame(missing)) {
 		return nil
 	}
 	if err != nil {
@@ -515,6 +546,7 @@ func (n *Node) batchesFor(now float64, partner NodeID, sessionID uint64, theirs 
 func (n *Node) onUpdateBatch(now float64, from NodeID, m protocol.UpdateBatch) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	gained := n.absorb(m.Entries)
+	n.noteArrival(gained, false)
 	n.stats.EntriesReceived += uint64(len(m.Entries))
 	if m.Final {
 		n.closeSession(from, m.SessionID)
@@ -554,6 +586,17 @@ func (n *Node) absorb(entries []wlog.Entry) []wlog.Entry {
 	return gained
 }
 
+// noteArrival records in the chain memory how the origins of gained, entries
+// new to the log, just reached this node. Duplicates and gap drops never get
+// here: they say nothing about which path delivers.
+func (n *Node) noteArrival(gained []wlog.Entry, byChain bool) {
+	for i, e := range gained {
+		if i == 0 || e.TS.Node != gained[i-1].TS.Node {
+			n.chained[e.TS.Node] = byChain
+		}
+	}
+}
+
 // Replay folds recovered write-log entries into the replica — the disk
 // recovery path. Unlike absorb it starts no fast updates (the entries are
 // old news to the network) and, because drivers attach the journal only
@@ -588,6 +631,10 @@ func (n *Node) Replay(entries []wlog.Entry) int {
 // not a measured optimum: the benchmark writes 128-byte values, so it runs
 // the push side only, and nothing it runs charges for bytes (see ROADMAP).
 const framePayload = 1400
+
+// maxFrameEntries is the most entries fitsFrame can accept, whatever their
+// sizes: it charges each at least 10 bytes.
+const maxFrameEntries = framePayload / 10
 
 // fitsFrame reports whether entries take at most framePayload bytes, counted
 // as the write log counts (keys + values) plus about 10 each for what the
@@ -704,6 +751,7 @@ func (n *Node) onFastReply(now float64, from NodeID, m protocol.FastReply) []pro
 func (n *Node) onFastPayload(now float64, from NodeID, m protocol.FastPayload) []protocol.Envelope {
 	n.noteDemand(from, m.Demand, now)
 	gained := n.absorb(m.Entries)
+	n.noteArrival(gained, true)
 	n.stats.FastEntriesGained += uint64(len(gained))
 	return n.fastOffers(now, gained, m.Hops+1, from)
 }

@@ -22,6 +22,7 @@ import (
 // The stream framing (WriteEnvelope/ReadEnvelope) adds a uvarint total
 // length so messages can be framed over TCP.
 
+// Wire version and decode bounds.
 const (
 	// Version is the wire protocol version byte.
 	Version = 1

@@ -89,9 +89,13 @@ func (SessionRequest) MsgType() Type { return TypeSessionRequest }
 
 // SummaryMsg carries a replica's summary vector during a session.
 type SummaryMsg struct {
+	// SessionID names the session; 0 is the pull an advertised summary drew,
+	// which opens no session and is answered by at most one frame.
 	SessionID uint64
-	Summary   *vclock.Summary
-	Demand    float64
+	// Summary is the sender's summary vector; the receiver owns it.
+	Summary *vclock.Summary
+	// Demand is the sender's current demand (piggybacked advertisement).
+	Demand float64
 }
 
 // MsgType implements Message.
@@ -100,10 +104,14 @@ func (SummaryMsg) MsgType() Type { return TypeSummary }
 // UpdateBatch carries entries the partner is missing. Final marks the last
 // batch of a session (step 12's session completion).
 type UpdateBatch struct {
+	// SessionID names the session, or 0 for the answer to an advert pull.
 	SessionID uint64
-	Entries   []wlog.Entry
-	Final     bool
-	Demand    float64
+	// Entries are the writes the partner lacks, (origin, seq)-ascending.
+	Entries []wlog.Entry
+	// Final marks the session's last batch from this side.
+	Final bool
+	// Demand is the sender's current demand (piggybacked advertisement).
+	Demand float64
 }
 
 // MsgType implements Message.
@@ -111,7 +119,9 @@ func (UpdateBatch) MsgType() Type { return TypeUpdateBatch }
 
 // FastOffer announces newly arrived writes by id only (step 13).
 type FastOffer struct {
-	IDs    []vclock.Timestamp
+	// IDs name the offered writes; no values travel until a YES.
+	IDs []vclock.Timestamp
+	// Demand is the sender's current demand (piggybacked advertisement).
 	Demand float64
 	// Hops counts fast-update chain hops for diagnostics; the chain of
 	// §2 "floods the valleys" through successive highest-demand neighbours.
@@ -126,8 +136,11 @@ func (FastOffer) MsgType() Type { return TypeFastOffer }
 // wanted (paper's YES; the paper requests all offered ids — a receiver that
 // has none of them wants them all, which is the common case).
 type FastReply struct {
+	// Accept is the paper's YES (true) or NO (false).
 	Accept bool
+	// Wanted is the subset of the offered ids the receiver lacks.
 	Wanted []vclock.Timestamp
+	// Demand is the sender's current demand (piggybacked advertisement).
 	Demand float64
 	// Hops echoes the offer's hop count so the offering replica can stamp
 	// the payload without per-offer state.
@@ -137,11 +150,15 @@ type FastReply struct {
 // MsgType implements Message.
 func (FastReply) MsgType() Type { return TypeFastReply }
 
-// FastPayload delivers the writes accepted by a FastReply (step 17).
+// FastPayload delivers the writes accepted by a FastReply (step 17), or — a
+// gain that fits one network frame — is pushed unasked, with no offer before.
 type FastPayload struct {
+	// Entries are the writes, per origin in sequence order.
 	Entries []wlog.Entry
-	Demand  float64
-	Hops    uint32
+	// Demand is the sender's current demand (piggybacked advertisement).
+	Demand float64
+	// Hops is the chain hop count the payload travelled to get here.
+	Hops uint32
 }
 
 // MsgType implements Message.
@@ -149,11 +166,15 @@ func (FastPayload) MsgType() Type { return TypeFastPayload }
 
 // DemandAdvert is the periodic neighbour-table refresh of §4. Summary is the
 // sender's summary vector at the tick, one read-only clone shared by the
-// tick's envelopes; nil means "demand only". A receiver still lacking what
-// the previous advert named pulls it with a SummaryMsg whose SessionID is 0,
-// answered only when the difference fits one network frame.
+// tick's envelopes; nil means "demand only". A receiver lacking writes it
+// names, and expecting no fast-update chain to bring them, pulls them with a
+// SummaryMsg whose SessionID is 0, answered only when the difference fits one
+// network frame.
 type DemandAdvert struct {
-	Demand  float64
+	// Demand is the sender's demand at the tick.
+	Demand float64
+	// Summary is the sender's summary vector at the tick, or nil; receivers
+	// keep the pointer and must not mutate it.
 	Summary *vclock.Summary
 }
 
@@ -166,10 +187,14 @@ func (DemandAdvert) MsgType() Type { return TypeDemandAdvert }
 // trade-off of Bayou's log truncation, paper §7) — the partner adopts the
 // summary and merges the store image instead of replaying entries.
 type Snapshot struct {
+	// SessionID names the session the transfer closes.
 	SessionID uint64
-	Summary   *vclock.Summary
-	Items     []store.Item
-	Demand    float64
+	// Summary is the coverage the store image stands for.
+	Summary *vclock.Summary
+	// Items is the sender's complete store image.
+	Items []store.Item
+	// Demand is the sender's current demand (piggybacked advertisement).
+	Demand float64
 }
 
 // MsgType implements Message.
@@ -177,9 +202,12 @@ func (Snapshot) MsgType() Type { return TypeSnapshot }
 
 // Envelope is a routed message.
 type Envelope struct {
+	// From is the sending replica.
 	From vclock.NodeID
-	To   vclock.NodeID
-	Msg  Message
+	// To is the replica the transport delivers to.
+	To vclock.NodeID
+	// Msg is the payload, one of the message types above.
+	Msg Message
 }
 
 // String renders the envelope for traces.

@@ -23,9 +23,9 @@ import (
 // coverage dominates the token:
 //
 //   - LevelSession (read-your-writes + monotonic reads): the replica must
-//     cover the token exactly (lag 0); after the read, the replica's
-//     coverage is folded back into the token so later reads — at any
-//     replica — can never observe an older state.
+//     cover the token exactly (lag 0); the replica's coverage and the
+//     served version's position are folded back into the token so later
+//     reads — at any replica — can never observe an older state.
 //   - LevelBounded: the replica may lag the token by at most MaxLag writes
 //     — the summary-distance staleness gate. Bounded reads do not fold
 //     coverage back, so the token keeps tracking only what the session
@@ -273,8 +273,10 @@ func (c *Cluster) ReadLeveled(id NodeID, key string, opt *LeveledRead) (store.Ve
 		return store.Versioned{}, false, err
 	}
 	v, ok := st.Read(key)
-	if ok && opt != nil && opt.Token != nil && opt.Level == LevelStrong {
-		// Strong reads join the session's monotonic floor.
+	if ok && opt != nil && opt.Token != nil && (opt.Level == LevelSession || opt.Level == LevelStrong) {
+		// What was served joins the session's monotonic floor. The gate's
+		// fold-back is not enough: applies precede publish, so the lock-free
+		// store may hold a version the applied watermark does not name yet.
 		opt.Token.ObserveWrite(v.TS)
 	}
 	return v, ok, nil
@@ -312,6 +314,7 @@ func (c *Cluster) serve(id NodeID, key string, opt *LeveledRead) (*store.Store, 
 	if opt == nil {
 		return st, nil
 	}
+	waited := false
 	switch tok := opt.Token; opt.Level {
 	case LevelSession, LevelBounded:
 		// A nil token has nothing to be consistent with: eventual semantics.
@@ -330,6 +333,7 @@ func (c *Cluster) serve(id NodeID, key string, opt *LeveledRead) (*store.Store, 
 			if err := c.awaitToken(r, opt, maxLag, opt.Level == LevelSession); err != nil {
 				return nil, err
 			}
+			waited = true
 		}
 	case LevelStrong:
 		if tok != nil {
@@ -350,8 +354,12 @@ func (c *Cluster) serve(id NodeID, key string, opt *LeveledRead) (*store.Store, 
 				return nil, c.notFresh(r, opt.Level)
 			}
 		}
+		waited = true
+	}
+	if waited {
 		// The waits may have outlived the incarnation the store was loaded
-		// from.
+		// from: a read parked across a kill and restart wakes on the new
+		// incarnation's coverage and must not serve the old one's store.
 		if st = r.store.Load(); st == nil {
 			return nil, r.deadError()
 		}

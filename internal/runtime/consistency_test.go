@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/demand"
 	"repro/internal/protocol"
+	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/vclock"
 	"repro/internal/wlog"
@@ -270,6 +271,54 @@ func TestSessionWaitResolvesOnKill(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("leveled read hung across replica death")
+	}
+}
+
+// TestParkedSessionReadServesRestartedIncarnation: a session read parked on a
+// replica that is killed and restarted wakes on the new incarnation's
+// coverage, so it must read the new incarnation's store — the one it loaded
+// before parking never held the write it waited for.
+func TestParkedSessionReadServesRestartedIncarnation(t *testing.T) {
+	c := startCluster(t, topology.Ring(4), demand.Static{4, 3, 2, 1}, WithSeed(33),
+		WithSessionInterval(time.Hour), WithFastPush(false))
+	if err := c.Kill(2); err != nil { // so the write below cannot reach it
+		t.Fatal(err)
+	}
+	var tok Token
+	if _, err := c.WriteToken(0, "k", []byte("v"), &tok); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartPreserving(2); err != nil { // alive again, still lacking it
+		t.Fatal(err)
+	}
+	type served struct {
+		v   store.Versioned
+		ok  bool
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		v, ok, err := c.ReadLeveled(2, "k", &LeveledRead{Level: LevelSession, Token: &tok, Deadline: 10 * time.Second})
+		done <- served{v, ok, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); c.fresh.count.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the session read never parked")
+		}
+	}
+	if err := c.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(2); err != nil { // bootstraps from its peers: holds the write now
+		t.Fatal(err)
+	}
+	select {
+	case got := <-done:
+		if got.err != nil || !got.ok || string(got.v.Value) != "v" {
+			t.Fatalf("read woken by the restart = %q, %v, %v; want the write it waited for", got.v.Value, got.ok, got.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked read never woke on the restarted replica's coverage")
 	}
 }
 

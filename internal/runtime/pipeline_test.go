@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/demand"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/topology"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -479,5 +481,63 @@ func TestAdvertPullAnswerWaitsForCoveringSync(t *testing.T) {
 	}
 	if env, ok := p.next(50*time.Millisecond, pulled); ok {
 		t.Fatalf("second answer %v to one pull", env)
+	}
+}
+
+// TestSessionReadTokenCoversServedVersion: handle applies a batch to the
+// lock-free store before it publishes the applied watermark, so a session
+// read can be served a version the watermark does not name yet. The replica
+// is played by hand up to exactly that point: the token must then cover the
+// version that was served, or the next session read — at a replica that only
+// holds the older one — would pass its gate and serve below it.
+func TestSessionReadTokenCoversServedVersion(t *testing.T) {
+	// Never started: the test is the only caller of handle.
+	c := New(topology.Ring(4), demand.Static{1, 2, 3, 4}, WithSeed(31))
+	batchOf := func(ts vclock.Timestamp, to NodeID) protocol.Envelope {
+		e, ok := c.replicas[0].node.Log().Get(ts)
+		if !ok {
+			t.Fatalf("origin does not retain %v", ts)
+		}
+		return protocol.Envelope{From: 0, To: to, Msg: protocol.UpdateBatch{Entries: []wlog.Entry{e}, Final: true}}
+	}
+	older, err := c.Write(0, "k", []byte("older"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []NodeID{1, 2} {
+		c.replicas[id].handle(batchOf(older, id))
+	}
+	newer, err := c.Write(0, "k", []byte("newer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.replicas[1]
+	r.mu.Lock()
+	r.node.HandleMessage(c.now(), batchOf(newer, 1)) // applied; handle would publish next
+	r.mu.Unlock()
+	if r.applied.covers(newer) {
+		t.Fatal("the applied watermark names the write before publish")
+	}
+
+	var tok Token
+	read := &LeveledRead{Level: LevelSession, Token: &tok, Deadline: time.Millisecond}
+	v, ok, err := c.ReadLeveled(1, "k", read)
+	if err != nil || !ok || v.TS != newer {
+		t.Fatalf("session read at the replica mid-handle = %v, %v, %v; want %v served", v, ok, err, newer)
+	}
+	if !tok.Covers(v.TS) {
+		t.Fatalf("token %v does not cover the served version %v", &tok, v.TS)
+	}
+	if v, _, err := c.ReadLeveled(2, "k", read); !errors.Is(err, ErrNotFresh) {
+		t.Fatalf("session read at a replica lacking %v = %q, %v; want ErrNotFresh", newer, v.Value, err)
+	}
+	// Bounded reads keep "no fold-back": the token tracks only what the
+	// session acknowledged or observed at a folding level.
+	var loose Token
+	if _, _, err := c.ReadLeveled(1, "k", &LeveledRead{Level: LevelBounded, Token: &loose, MaxLag: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !loose.Equal(&Token{}) {
+		t.Errorf("bounded read folded %v into its token", &loose)
 	}
 }

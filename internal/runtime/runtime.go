@@ -105,9 +105,9 @@ func WithSessionInterval(d time.Duration) Option {
 // WithAdvertInterval sets the demand-advertisement period (§4's routing-like
 // refresh). Adverts carry the summary vector (about 2–3 bytes per origin on a
 // link that charges for bytes), so the period also bounds how long a replica
-// off every fast-update chain waits: it pulls what a neighbour advertised one
-// period ago, ≈ 2 periods + 3 link delays after the neighbour got it, as long
-// as what it lacks fits one network frame (a larger backlog waits for a session).
+// off every fast-update chain waits: it pulls what a neighbour's next advert
+// names, ≈ 1 period + 3 link delays after the neighbour got it, as long as
+// what it lacks fits one network frame (a larger backlog waits for a session).
 func WithAdvertInterval(d time.Duration) Option {
 	return func(o *options) { o.advertInterval = d }
 }
